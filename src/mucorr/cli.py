@@ -1,8 +1,9 @@
 """Command-line interface: run scenarios, sweep parameters, emit results.
 
 Exit codes: 0 success, 1 validation error (bad arguments, malformed or
-unknown scenario), 2 runtime error (unwritable output, unexpected
-failure). Nothing else is ever returned.
+unknown scenario, a Monte Carlo sample too small to estimate from), 2
+runtime error (unwritable output, unexpected failure). Nothing else is
+ever returned.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ValidationError
+from .errors import DegenerateSequenceError, ValidationError
 from .montecarlo import SampleConfig
 from .scenarios import (
     SWEEP_PARAMETERS,
@@ -271,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         for message in exc.messages:
             print(f"error: {message}", file=sys.stderr)
+        return 1
+    except DegenerateSequenceError as exc:  # a constant Monte Carlo outcome
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -167,27 +167,16 @@ def info_scan(
     return out
 
 
-def max_info_direction(
-    a: Direction, a_prime: Direction, step_degrees: float = 0.01
-) -> tuple[Direction, float]:
+def max_info_direction(a: Direction, a_prime: Direction) -> tuple[Direction, float]:
     """Remote direction maximizing the CI information leakage, with its bits.
 
     The maximum sits at the bisector of a and a' (CI correlation 0.5,
-    match rate 0.75). A grid scan at `step_degrees` resolution guards the
-    analytic answer; ties in the scan resolve to the smaller angle.
+    match rate 0.75); :func:`info_scan` gives the grid to check it against.
     """
     _require_orthogonal(a, a_prime)
-    scan = info_scan(a, a_prime, step_degrees)
-    scan_theta, scan_best = max(scan, key=lambda pair: (pair[1], -pair[0]))
     arc = (a_prime.angle - a.angle + math.pi) % (2.0 * math.pi) - math.pi
     bisector = Direction(a.angle + 0.5 * arc)
-    bits = _info_at(bisector, a, a_prime)
-    if scan_best > bits + 1e-12:
-        raise ArithmeticError(
-            f"scan found {scan_best!r} bits at {scan_theta!r} deg, above the "
-            f"bisector value {bits!r}"
-        )
-    return bisector, bits
+    return bisector, _info_at(bisector, a, a_prime)
 
 
 @dataclass(frozen=True)

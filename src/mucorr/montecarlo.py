@@ -1,5 +1,10 @@
 """Seeded Monte Carlo cross-checks for the analytic results.
 
+Every sampled quantity is a pair of two-valued outcomes whose 2x2 joint
+table is known exactly, so a run of n samples is fully described by the
+four cell counts: one multinomial draw gives them in O(1) time and
+memory, and the estimators are closed forms of the counts.
+
 All randomness flows from numpy's PCG64. A run is identified by
 (seed, stream index): independent quantities inside one run draw from
 substreams derived via SeedSequence(seed, spawn_key=(index,)), so adding
@@ -12,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counterfactual import pearson_pm1
-from .errors import DomainError
+from .errors import DegenerateSequenceError, DomainError
 from .nsbox import NsBox
 from .spin import Direction, match_probability
+
+#: The largest sample count numpy's multinomial accepts.
+MAX_SAMPLES = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -26,9 +33,13 @@ class SampleConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not isinstance(self.n_samples, int) or self.n_samples < 1:
+        if (
+            not isinstance(self.n_samples, int)
+            or not 1 <= self.n_samples <= MAX_SAMPLES
+        ):
             raise DomainError(
-                f"n_samples must be a positive integer, got {self.n_samples!r}"
+                f"n_samples must be an integer in [1, {MAX_SAMPLES}], "
+                f"got {self.n_samples!r}"
             )
         if not isinstance(self.seed, int) or self.seed < 0:
             raise DomainError(
@@ -49,100 +60,75 @@ class EmpiricalEstimate:
         return abs(self.value - expected) <= width * self.std_error
 
 
-def make_generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for one independent quantity within a seeded run."""
     seq = np.random.SeedSequence(seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def sample_signs(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent fair +/-1 outcomes."""
-    return rng.integers(0, 2, size=n) * 2 - 1
+def sample_counts(
+    table, cfg: SampleConfig, stream_index: int = 0
+) -> tuple[int, int, int, int]:
+    """Cell counts (n00, n01, n10, n11) of cfg.n_samples draws from a 2x2
+    joint table of two outcomes, from substream `stream_index`."""
+    flat = np.asarray(table, dtype=float).reshape(4)
+    if not (flat >= 0.0).all():
+        raise DomainError("cannot sample a table with negative entries")
+    total = float(flat.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise DomainError("cannot sample a table that is not normalized")
+    rng = substream(cfg.seed, stream_index)
+    return tuple(int(c) for c in rng.multinomial(cfg.n_samples, flat / total))
 
 
-def flip_to_match(
-    rng: np.random.Generator, base: np.ndarray, p_match: float
-) -> np.ndarray:
-    """Outcomes equal to base with probability p_match, else negated."""
-    agree = rng.random(base.shape[0]) < p_match
-    return np.where(agree, base, -base)
+def estimate_correlation(counts: tuple[int, int, int, int]) -> EmpiricalEstimate:
+    """Pearson (phi) coefficient of the two outcomes of a 2x2 count table,
+    with its delta-method standard error.
 
+    The asymptotic variance of phi (Bishop, Fienberg & Holland, Discrete
+    Multivariate Analysis, ch. 11) is, with row sums r0, r1 and column
+    sums c0, c1,
 
-def sample_pair(
-    alpha: Direction, beta: Direction, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome pairs for spin measurements along two directions.
+        n var = 1 - phi^2 + (phi + phi^3 / 2) (r0 - r1)(c0 - c1) / sqrt(r0 r1 c0 c1)
+                - 3/4 phi^2 ((r0 - r1)^2 / (r0 r1) + (c0 - c1)^2 / (c0 c1)),
 
-    Marginals are fair coins; the pair agrees with probability
-    (1 + cos(alpha - beta)) / 2, so the sample correlation estimates
-    cos(alpha - beta).
+    which is (1 - phi^2) / n for fair marginals. Counts stay Python ints,
+    so the products cannot overflow at any sample count.
     """
-    first = sample_signs(rng, n)
-    second = flip_to_match(rng, first, match_probability(alpha, beta))
-    return first, second
+    n00, n01, n10, n11 = counts
+    n = n00 + n01 + n10 + n11
+    r0, r1, c0, c1 = n00 + n01, n10 + n11, n00 + n10, n01 + n11
+    if 0 in (r0, r1, c0, c1):
+        raise DegenerateSequenceError(
+            f"one outcome is constant over all n_samples={n} draws, so the "
+            "correlation is undefined; raise n_samples"
+        )
+    root = math.sqrt(r0 * r1 * c0 * c1)
+    phi = (n00 * n11 - n01 * n10) / root
+    n_var = (
+        1.0 - phi ** 2
+        + (phi + phi ** 3 / 2.0) * (r0 - r1) * (c0 - c1) / root
+        - 0.75 * phi ** 2 * ((r0 - r1) ** 2 / (r0 * r1) + (c0 - c1) ** 2 / (c0 * c1))
+    )
+    # Rounding can take a zero variance (|phi| = 1) a hair below 0.
+    return EmpiricalEstimate(phi, math.sqrt(max(n_var, 0.0) / n), n)
 
 
-def sample_counterfactual_ci(
-    theta: Direction,
-    a: Direction,
-    a_prime: Direction,
-    n: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measured and unmeasured outcomes under conditional independence.
-
-    Both outcomes are tied to a shared +/-1 source aligned with theta and
-    are otherwise independent, so their correlation is the product
-    cos(theta - a) * cos(theta - a_prime).
-    """
-    source = sample_signs(rng, n)
-    measured = flip_to_match(rng, source, match_probability(theta, a))
-    unmeasured = flip_to_match(rng, source, match_probability(theta, a_prime))
-    return measured, unmeasured
+def estimate_event_rate(hits: int, n: int) -> EmpiricalEstimate:
+    """Empirical event probability hits / n with the binomial standard error."""
+    if n < 1:
+        raise DomainError("cannot estimate a rate from zero samples")
+    p = hits / n
+    return EmpiricalEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
-def sample_coin(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Fair coin tosses and the counterfactual re-toss of the same coins.
-
-    Nothing ties a toss to its counterfactual alternative, so the
-    unmeasured sequence is an independent fair sequence and the
-    correlation is 0.
-    """
-    measured = sample_signs(rng, n)
-    unmeasured = sample_signs(rng, n)
-    return measured, unmeasured
-
-
-def sample_shapes(
-    n: int,
-    rng: np.random.Generator,
-    red_given_cube: float = 0.75,
-    blue_given_sphere: float = 0.75,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Object drawn from a box: shape is observed, color is not.
-
-    Shape (cube = +1, sphere = -1) is a fair coin; color (red = +1,
-    blue = -1) depends on shape through the two conditional rates.
-    """
-    for name, value in (
-        ("red_given_cube", red_given_cube),
-        ("blue_given_sphere", blue_given_sphere),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    shape = sample_signs(rng, n)
-    u = rng.random(n)
-    red = np.where(shape == 1, u < red_given_cube, u >= blue_given_sphere)
-    color = np.where(red, 1, -1)
-    return shape, color
+def _match_table(p_match: float) -> list[float]:
+    """Two fair +/-1 outcomes that agree with probability p_match."""
+    return [p_match / 2.0, (1.0 - p_match) / 2.0, (1.0 - p_match) / 2.0, p_match / 2.0]
 
 
 def shapes_rho(red_given_cube: float = 0.75, blue_given_sphere: float = 0.75) -> float:
-    """Analytic shape/color correlation for :func:`sample_shapes`."""
+    """Analytic shape/color correlation for :func:`estimate_shapes_correlation`."""
     cov = red_given_cube + blue_given_sphere - 1.0
     mean_color = red_given_cube - blue_given_sphere
     sd_color = math.sqrt(1.0 - mean_color ** 2)
@@ -151,45 +137,13 @@ def shapes_rho(red_given_cube: float = 0.75, blue_given_sphere: float = 0.75) ->
     return cov / sd_color
 
 
-def sample_nsbox(
-    box: NsBox, a_in: int, b_in: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output pairs (A, B) in {0,1} drawn from one input pair of a box."""
-    flat = box.joint(a_in, b_in).reshape(4)
-    if (flat < 0).any():
-        raise DomainError("cannot sample a box with negative entries")
-    edges = np.cumsum(flat)
-    if abs(float(edges[3]) - 1.0) > 1e-9:
-        raise DomainError("cannot sample a box that is not normalized")
-    edges[3] = 1.0
-    idx = np.searchsorted(edges, rng.random(n), side="right")
-    return idx >> 1, idx & 1
-
-
-def estimate_correlation(
-    measured: np.ndarray, unmeasured: np.ndarray
-) -> EmpiricalEstimate:
-    """Sample Pearson correlation with the large-n normal-theory
-    standard error (1 - rho^2) / sqrt(n)."""
-    value = pearson_pm1(measured, unmeasured)
-    n = measured.shape[0]
-    return EmpiricalEstimate(value, (1.0 - value ** 2) / math.sqrt(n), n)
-
-
-def estimate_event_rate(hits: np.ndarray) -> EmpiricalEstimate:
-    """Empirical event probability with the binomial standard error."""
-    n = hits.shape[0]
-    if n == 0:
-        raise DomainError("cannot estimate a rate from zero samples")
-    p = float(np.count_nonzero(hits)) / n
-    return EmpiricalEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
-
-
 def estimate_pair_correlation(
     alpha: Direction, beta: Direction, cfg: SampleConfig, stream_index: int = 0
 ) -> EmpiricalEstimate:
-    rng = substream(cfg.seed, stream_index)
-    return estimate_correlation(*sample_pair(alpha, beta, cfg.n_samples, rng))
+    """Spin outcomes along two directions: fair marginals that agree with
+    probability (1 + cos(alpha - beta)) / 2, correlation cos(alpha - beta)."""
+    table = _match_table(match_probability(alpha, beta))
+    return estimate_correlation(sample_counts(table, cfg, stream_index))
 
 
 def estimate_ci_correlation(
@@ -199,17 +153,28 @@ def estimate_ci_correlation(
     cfg: SampleConfig,
     stream_index: int = 0,
 ) -> EmpiricalEstimate:
-    rng = substream(cfg.seed, stream_index)
-    return estimate_correlation(
-        *sample_counterfactual_ci(theta, a, a_prime, cfg.n_samples, rng)
-    )
+    """Measured and unmeasured outcomes under conditional independence.
+
+    Both outcomes copy a shared fair source aligned with theta, each with
+    its own match rate p1, p2, and are otherwise independent. They then
+    agree with probability p1 p2 + (1 - p1)(1 - p2), so their correlation
+    is the product cos(theta - a) * cos(theta - a_prime).
+    """
+    p1 = match_probability(theta, a)
+    p2 = match_probability(theta, a_prime)
+    table = _match_table(p1 * p2 + (1.0 - p1) * (1.0 - p2))
+    return estimate_correlation(sample_counts(table, cfg, stream_index))
 
 
 def estimate_coin_correlation(
     cfg: SampleConfig, stream_index: int = 0
 ) -> EmpiricalEstimate:
-    rng = substream(cfg.seed, stream_index)
-    return estimate_correlation(*sample_coin(cfg.n_samples, rng))
+    """Fair coin tosses against the counterfactual re-toss of the same coins.
+
+    Nothing ties a toss to its alternative, so the two are independent
+    fair outcomes and the correlation is 0.
+    """
+    return estimate_correlation(sample_counts(_match_table(0.5), cfg, stream_index))
 
 
 def estimate_shapes_correlation(
@@ -218,10 +183,16 @@ def estimate_shapes_correlation(
     red_given_cube: float = 0.75,
     blue_given_sphere: float = 0.75,
 ) -> EmpiricalEstimate:
-    rng = substream(cfg.seed, stream_index)
-    return estimate_correlation(
-        *sample_shapes(cfg.n_samples, rng, red_given_cube, blue_given_sphere)
-    )
+    """Object drawn from a box: shape is observed, color is not.
+
+    Shape (cube, sphere) is a fair coin; color (red, blue) depends on
+    shape through the two conditional rates.
+    """
+    table = [
+        red_given_cube / 2.0, (1.0 - red_given_cube) / 2.0,
+        (1.0 - blue_given_sphere) / 2.0, blue_given_sphere / 2.0,
+    ]
+    return estimate_correlation(sample_counts(table, cfg, stream_index))
 
 
 def estimate_ns_pair(
@@ -232,12 +203,11 @@ def estimate_ns_pair(
     The target rate is P(A xor B = ab); the correlator estimate is its
     linear image 2 * P(A = B) - 1.
     """
-    rng = substream(cfg.seed, stream_index)
-    a_out, b_out = sample_nsbox(box, a_in, b_in, cfg.n_samples, rng)
-    parity = a_out ^ b_out
-    rate = estimate_event_rate(parity == (a_in * b_in))
-    same = estimate_event_rate(parity == 0)
+    n00, n01, n10, n11 = sample_counts(box.joint(a_in, b_in), cfg, stream_index)
+    n = cfg.n_samples
+    same = estimate_event_rate(n00 + n11, n)
+    rate = same if a_in * b_in == 0 else estimate_event_rate(n01 + n10, n)
     correlator = EmpiricalEstimate(
-        2.0 * same.value - 1.0, 2.0 * same.std_error, same.n_samples
+        2.0 * same.value - 1.0, 2.0 * same.std_error, n
     )
     return rate, correlator

@@ -348,9 +348,9 @@ def from_labeled_dict(entries: dict[str, float]) -> NsBox:
     """Parse the flat wire format back into a box.
 
     Requires exactly the 16 keys "P(A,B|a,b)" with binary indices;
-    reports every missing, unknown, or non-numeric entry.
+    reports every missing, unknown, non-numeric, or non-finite entry.
     """
-    table = np.full((2, 2, 2, 2), np.nan)
+    table = np.zeros((2, 2, 2, 2))
     problems: list[str] = []
     for key, value in entries.items():
         match = _KEY_RE.match(key)
@@ -358,13 +358,20 @@ def from_labeled_dict(entries: dict[str, float]) -> NsBox:
             problems.append(f"unrecognized box entry key {key!r}")
             continue
         a_out, b_out, a_in, b_in = (int(g) for g in match.groups())
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"box entry {key!r} must be a number, got {value!r}")
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            problems.append(
+                f"box entry {key!r} must be a finite number, got {value!r}"
+            )
             continue
         table[a_out, b_out, a_in, b_in] = float(value)
-    missing = np.argwhere(np.isnan(table))
-    for a_out, b_out, a_in, b_in in missing:
-        problems.append(f"missing box entry P({a_out},{b_out}|{a_in},{b_in})")
+    for index in np.ndindex(2, 2, 2, 2):
+        key = "P({},{}|{},{})".format(*index)
+        if key not in entries:
+            problems.append(f"missing box entry {key}")
     if problems:
         raise ValidationError(problems)
     return NsBox(table)

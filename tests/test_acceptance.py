@@ -233,13 +233,24 @@ def test_criterion_10_ci_positive_except_trivial_point(report):
 
 def test_criterion_11_sampler_oracle(report):
     box = make_isotropic(0.8)
-    samplers = [
-        ("pair", math.cos(math.radians(45.0)),
-         lambda cfg: estimate_pair_correlation(A, B, cfg)),
+    remote_10 = Direction.from_degrees(10.0)
+
+    def pair_at(degrees):
+        other = Direction.from_degrees(degrees)
+        return (f"pair{degrees:g}", math.cos(math.radians(degrees)),
+                lambda cfg: estimate_pair_correlation(A, other, cfg))
+
+    # Angles near 0, 90 and 180 degrees and asymmetric shapes rates, where
+    # a standard error that ignores the outcome geometry misses the band.
+    samplers = [pair_at(d) for d in (45.0, 5.0, 10.0, 80.0, 135.0, 170.0)] + [
         ("ci", rho_conditional_independence(B, A, A_PRIME),
          lambda cfg: estimate_ci_correlation(B, A, A_PRIME, cfg)),
+        ("ci10", rho_conditional_independence(remote_10, A, A_PRIME),
+         lambda cfg: estimate_ci_correlation(remote_10, A, A_PRIME, cfg)),
         ("coin", 0.0, estimate_coin_correlation),
         ("shapes", 0.5, estimate_shapes_correlation),
+        ("shapes.9/.6", shapes_rho(0.9, 0.6),
+         lambda cfg: estimate_shapes_correlation(cfg, 0, 0.9, 0.6)),
         ("nsbox", 0.8, lambda cfg: estimate_ns_pair(box, 1, 1, cfg)[0]),
     ]
     counts = {}
@@ -256,16 +267,22 @@ def test_criterion_11_sampler_oracle(report):
     start = time.perf_counter()
     estimate_pair_correlation(A, B, SampleConfig(n_samples=1_000_000, seed=123))
     elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    huge = estimate_pair_correlation(A, B, SampleConfig(n_samples=10**12, seed=123))
+    huge_elapsed = time.perf_counter() - start
     ok = (
         all(hits >= 99 for hits in counts.values())
         and deterministic
         and elapsed < 5.0
+        and huge_elapsed < 1.0
+        and huge.within_band(math.cos(math.radians(45.0)))
     )
     report(
         11,
         ok,
         f"4-sigma coverage per 100 seeds: {counts!r}, bit-exact repeats: "
-        f"{deterministic}, n=10^6 run in {elapsed:.2f}s",
+        f"{deterministic}, n=10^6 run in {elapsed:.2f}s, n=10^12 run in "
+        f"{huge_elapsed:.2f}s",
     )
 
 

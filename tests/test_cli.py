@@ -218,6 +218,15 @@ class TestExitCodes:
         assert code == 1
         assert "n_samples" in err
 
+    def test_sample_count_boundaries(self, capsys):
+        # 1 sample always has a constant outcome; 10^19 is above 2^63 - 1.
+        for samples in ("1", "10000000000000000000"):
+            code, out, err = run_cli(capsys, "run", "paper-coin", "--samples", samples)
+            assert code == 1, samples
+            assert out == ""
+            assert "n_samples" in err
+            assert "Error:" not in err  # no exception type: a named problem
+
     def test_bogus_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -198,6 +198,20 @@ class TestNsboxKind:
         assert problems
         assert any("violates" in p for p in problems)
 
+    def test_non_finite_box_entry_is_one_named_problem(self):
+        from mucorr.nsbox import pr_box, to_labeled_dict
+
+        for value in (math.nan, math.inf, -math.inf):
+            table = to_labeled_dict(pr_box())
+            table["P(0,1|1,1)"] = value
+            scenario = Scenario(
+                scenario_id="bad-box", kind="nsbox", parameters={"box": table},
+            )
+            assert validate_scenario(scenario) == [
+                "parameters.box: box entry 'P(0,1|1,1)' must be a finite "
+                f"number, got {value!r}"
+            ]
+
 
 class TestValidation:
     def mk(self, kind: str, parameters: dict) -> Scenario:
