@@ -33,18 +33,14 @@ class SampleConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if (
-            not isinstance(self.n_samples, int)
-            or not 1 <= self.n_samples <= MAX_SAMPLES
-        ):
+        # bool is an int subclass, but true is neither a count nor a seed.
+        n, seed = self.n_samples, self.seed
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_SAMPLES:
             raise DomainError(
-                f"n_samples must be an integer in [1, {MAX_SAMPLES}], "
-                f"got {self.n_samples!r}"
+                f"n_samples must be an integer in [1, {MAX_SAMPLES}], got {n!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
-            )
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@ A box is a conditional probability table P(A, B | a, b) with A, B, a, b
 all in {0, 1}. The boxes of interest have uniformly random local outputs
 and marginals independent of the remote input (no-signalling). The target
 parity for inputs (a, b) is the product ab: the winning event is
-A xor B = ab.
+A xor B = ab. Every box quantity reduces the table over (A, B) through one
+of two masks: A = B for the correlators, A xor B = ab for the target rates.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,15 @@ CONSTRAINT_TOL = 1e-9
 
 _KEY_RE = re.compile(r"^P\(([01]),([01])\|([01]),([01])\)$")
 
+_OUT_A, _OUT_B, _IN_A, _IN_B = np.indices((2, 2, 2, 2))
+#: Cells of table[A, B, a, b] with A = B.
+_SAME = _OUT_A == _OUT_B
+#: Cells of table[A, B, a, b] that hit the target parity, A xor B = ab.
+_WIN = (_OUT_A ^ _OUT_B) == (_IN_A & _IN_B)
+_MASKS = np.stack([_SAME, ~_SAME, _WIN])
+#: The wire-format keys "P(A,B|a,b)" in table order.
+_TABLE_KEYS = ["P({},{}|{},{})".format(*i) for i in itertools.product((0, 1), repeat=4)]
+
 
 @dataclass(frozen=True, eq=False)
 class NsBox:
@@ -28,11 +40,13 @@ class NsBox:
 
     The container itself accepts any 16 numbers so that invalid tables
     can be constructed and then inspected; use
-    :func:`validate_no_signalling` to check the box constraints.
+    :func:`validate_no_signalling` to check the box constraints. Each box
+    also holds read-only (2, 2) target rates `_win[a, b]` and correlators `_corr[a, b]`.
     """
 
     table: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # inf and nan are results here
     def __post_init__(self):
         arr = np.array(self.table, dtype=float)
         if arr.shape != (2, 2, 2, 2):
@@ -41,6 +55,14 @@ class NsBox:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
+        # -0.0 is the exact additive identity, as filler and as the start of
+        # each sum, so a masked sum is the plain sum of the mask's two cells.
+        masked = np.where(_MASKS, arr, -0.0)
+        same, differ, win = masked.sum(axis=(1, 2), initial=-0.0)
+        corr = same - differ
+        for name, value in (("_win", win), ("_corr", corr)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def prob(self, a_out: int, b_out: int, a_in: int, b_in: int) -> float:
         """P(A=a_out, B=b_out | a=a_in, b=b_in)."""
@@ -60,17 +82,7 @@ def make_isotropic(p: float) -> NsBox:
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"isotropic parameter must lie in [0, 1], got {p!r}")
-    table = np.empty((2, 2, 2, 2))
-    for a_in in (0, 1):
-        for b_in in (0, 1):
-            hit = p / 2.0
-            miss = (1.0 - p) / 2.0
-            target = a_in * b_in
-            for a_out in (0, 1):
-                for b_out in (0, 1):
-                    parity = a_out ^ b_out
-                    table[a_out, b_out, a_in, b_in] = hit if parity == target else miss
-    return NsBox(table)
+    return NsBox(np.where(_WIN, p / 2.0, (1.0 - p) / 2.0))
 
 
 def pr_box() -> NsBox:
@@ -85,17 +97,11 @@ def from_correlators(e00: float, e01: float, e10: float, e11: float) -> NsBox:
     Every uniform-marginal no-signalling box has this form, so this is
     the general constructor for valid boxes.
     """
-    table = np.empty((2, 2, 2, 2))
-    for (a_in, b_in), e in zip(
-        ((0, 0), (0, 1), (1, 0), (1, 1)), (e00, e01, e10, e11)
-    ):
+    for e in (e00, e01, e10, e11):
         if not -1.0 <= e <= 1.0:
             raise DomainError(f"correlator must lie in [-1, 1], got {e!r}")
-        same = (1.0 + e) / 4.0
-        diff = (1.0 - e) / 4.0
-        table[0, 0, a_in, b_in] = table[1, 1, a_in, b_in] = same
-        table[0, 1, a_in, b_in] = table[1, 0, a_in, b_in] = diff
-    return NsBox(table)
+    corr = np.array([e00, e01, e10, e11], dtype=float).reshape(2, 2)
+    return NsBox(np.where(_SAME, (1.0 + corr) / 4.0, (1.0 - corr) / 4.0))
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,16 @@ class ConstraintViolation:
     residual: float
 
 
+def _violations(kind: str, residual: np.ndarray, where) -> list[ConstraintViolation]:
+    """A violation for each residual entry above the tolerance, in index
+    order; where(*index) names the constraint."""
+    return [
+        ConstraintViolation(kind, where(*index), float(residual[index]))
+        for index in zip(*np.nonzero(residual > CONSTRAINT_TOL))
+    ]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan are results here
 def validate_no_signalling(box: NsBox) -> list[ConstraintViolation]:
     """Check normalization, no-signalling, and uniform local marginals.
 
@@ -114,98 +130,38 @@ def validate_no_signalling(box: NsBox) -> list[ConstraintViolation]:
     list means the box is valid. Violations are data, not errors.
     """
     t = box.table
-    found: list[ConstraintViolation] = []
-
-    for a_out in (0, 1):
-        for b_out in (0, 1):
-            for a_in in (0, 1):
-                for b_in in (0, 1):
-                    v = t[a_out, b_out, a_in, b_in]
-                    excess = max(0.0 - v, v - 1.0)
-                    if excess > CONSTRAINT_TOL:
-                        found.append(ConstraintViolation(
-                            "entry-range",
-                            f"P({a_out},{b_out}|{a_in},{b_in})",
-                            float(excess),
-                        ))
-
-    for a_in in (0, 1):
-        for b_in in (0, 1):
-            residual = abs(float(t[:, :, a_in, b_in].sum()) - 1.0)
-            if residual > CONSTRAINT_TOL:
-                found.append(ConstraintViolation(
-                    "normalization", f"sum P(.,.|{a_in},{b_in})", residual,
-                ))
-
-    # Party 1: the A marginal may not depend on the remote input b.
-    for a_out in (0, 1):
-        for a_in in (0, 1):
-            m0 = float(t[a_out, :, a_in, 0].sum())
-            m1 = float(t[a_out, :, a_in, 1].sum())
-            if abs(m0 - m1) > CONSTRAINT_TOL:
-                found.append(ConstraintViolation(
-                    "no-signalling",
-                    f"P(A={a_out}|a={a_in}) across b",
-                    abs(m0 - m1),
-                ))
-    # Party 2: the B marginal may not depend on the remote input a.
-    for b_out in (0, 1):
-        for b_in in (0, 1):
-            m0 = float(t[:, b_out, 0, b_in].sum())
-            m1 = float(t[:, b_out, 1, b_in].sum())
-            if abs(m0 - m1) > CONSTRAINT_TOL:
-                found.append(ConstraintViolation(
-                    "no-signalling",
-                    f"P(B={b_out}|b={b_in}) across a",
-                    abs(m0 - m1),
-                ))
-
-    for a_in in (0, 1):
-        for b_in in (0, 1):
-            for a_out in (0, 1):
-                m = float(t[a_out, :, a_in, b_in].sum())
-                if abs(m - 0.5) > CONSTRAINT_TOL:
-                    found.append(ConstraintViolation(
-                        "uniform-marginal",
-                        f"P(A={a_out}|a={a_in},b={b_in})",
-                        abs(m - 0.5),
-                    ))
-            for b_out in (0, 1):
-                m = float(t[:, b_out, a_in, b_in].sum())
-                if abs(m - 0.5) > CONSTRAINT_TOL:
-                    found.append(ConstraintViolation(
-                        "uniform-marginal",
-                        f"P(B={b_out}|a={a_in},b={b_in})",
-                        abs(m - 0.5),
-                    ))
-
-    return found
+    marginal_a, marginal_b = t.sum(axis=1), t.sum(axis=0)  # [A, a, b], [B, a, b]
+    # Indexed [a, b, party, output]: A0, A1, B0, B1 for each input pair.
+    uniform = np.abs(np.stack([marginal_a, marginal_b]) - 0.5).transpose(2, 3, 0, 1)
+    return (
+        _violations("entry-range", np.maximum(-t, t - 1.0), "P({},{}|{},{})".format)
+        + _violations("normalization", np.abs(t.sum(axis=(0, 1)) - 1.0),
+                      "sum P(.,.|{},{})".format)
+        # Party 1: the A marginal may not depend on the remote input b.
+        + _violations("no-signalling", np.abs(marginal_a[..., 0] - marginal_a[..., 1]),
+                      "P(A={}|a={}) across b".format)
+        # Party 2: the B marginal may not depend on the remote input a.
+        + _violations("no-signalling", np.abs(marginal_b[:, 0] - marginal_b[:, 1]),
+                      "P(B={}|b={}) across a".format)
+        + _violations("uniform-marginal", uniform, lambda a_in, b_in, party, out:
+                      f"P({'AB'[party]}={out}|a={a_in},b={b_in})")
+    )
 
 
 def target_probability(box: NsBox, a_in: int, b_in: int) -> float:
     """P(A xor B = ab | a, b) for one input pair."""
-    t = box.table
-    target = a_in * b_in
-    if target == 0:
-        return float(t[0, 0, a_in, b_in] + t[1, 1, a_in, b_in])
-    return float(t[0, 1, a_in, b_in] + t[1, 0, a_in, b_in])
+    return float(box._win[a_in, b_in])
 
 
 def correlator(box: NsBox, a_in: int, b_in: int) -> float:
     """E_ab = P(A=B|a,b) - P(A!=B|a,b)."""
-    t = box.table
-    same = float(t[0, 0, a_in, b_in] + t[1, 1, a_in, b_in])
-    diff = float(t[0, 1, a_in, b_in] + t[1, 0, a_in, b_in])
-    return same - diff
+    return float(box._corr[a_in, b_in])
 
 
 def chsh_s_ns(box: NsBox) -> float:
     """Parity-form CHSH value: the sum over input pairs of the probability
     that A xor B = ab. Ranges over [0, 4]; 3 is the classical bound."""
-    return abs(sum(
-        target_probability(box, a_in, b_in)
-        for a_in in (0, 1) for b_in in (0, 1)
-    ))
+    return abs(sum(box._win.ravel().tolist()))
 
 
 def chsh_e_form(box: NsBox) -> float:
@@ -216,12 +172,8 @@ def chsh_e_form(box: NsBox) -> float:
     (:func:`chsh_s_e`) also exceeds 2 for p < 0.25, where the box wins
     the complementary parity game instead.
     """
-    return (
-        correlator(box, 0, 0)
-        + correlator(box, 0, 1)
-        + correlator(box, 1, 0)
-        - correlator(box, 1, 1)
-    )
+    e00, e01, e10, e11 = box._corr.ravel().tolist()
+    return e00 + e01 + e10 - e11
 
 
 def chsh_s_e(box: NsBox) -> float:
@@ -243,8 +195,7 @@ def rho_min_ns(box: NsBox, b_setting: int) -> float:
     """
     if b_setting not in (0, 1):
         raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
-    p0 = target_probability(box, 0, b_setting)
-    p1 = target_probability(box, 1, b_setting)
+    p0, p1 = box._win[:, b_setting].tolist()
     return max(-1.0, 2.0 * (p0 + p1) - 3.0)
 
 
@@ -264,17 +215,13 @@ def ci_product(box: NsBox, b_setting: int) -> float:
     """
     if b_setting not in (0, 1):
         raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
-    r0 = 2.0 * target_probability(box, 0, b_setting) - 1.0
-    r1 = 2.0 * target_probability(box, 1, b_setting) - 1.0
+    r0, r1 = (2.0 * box._win[:, b_setting] - 1.0).tolist()
     return r0 * r1
 
 
 def isotropic_parameter(box: NsBox, tol: float = CONSTRAINT_TOL) -> float | None:
     """The common target probability p if the box is isotropic, else None."""
-    probs = [
-        target_probability(box, a_in, b_in)
-        for a_in in (0, 1) for b_in in (0, 1)
-    ]
+    probs = box._win.ravel().tolist()
     p = math.fsum(probs) / 4.0
     if all(abs(q - p) <= tol for q in probs):
         return p
@@ -308,11 +255,8 @@ def classify_box(box: NsBox) -> BoxClassification:
     otherwise the correlator-form CHSH value against the bounds 2 and
     2*sqrt(2) decides, with boundaries belonging to the lower class.
     """
-    correlators = [
-        correlator(box, a_in, b_in) for a_in in (0, 1) for b_in in (0, 1)
-    ]
     s_e = chsh_s_e(box)
-    if all(abs(e) <= CONSTRAINT_TOL for e in correlators):
+    if (np.abs(box._corr) <= CONSTRAINT_TOL).all():
         box_class = BoxClass.INDEPENDENT
     elif s_e <= 2.0:
         box_class = BoxClass.LOCAL_CORRELATED
@@ -334,14 +278,10 @@ def classify_box(box: NsBox) -> BoxClassification:
 
 def to_labeled_dict(box: NsBox) -> dict[str, float]:
     """Flat wire format: 16 entries keyed "P(A,B|a,b)"."""
-    out: dict[str, float] = {}
-    for a_in in (0, 1):
-        for b_in in (0, 1):
-            for a_out in (0, 1):
-                for b_out in (0, 1):
-                    key = f"P({a_out},{b_out}|{a_in},{b_in})"
-                    out[key] = box.prob(a_out, b_out, a_in, b_in)
-    return out
+    return {
+        f"P({a_out},{b_out}|{a_in},{b_in})": box.prob(a_out, b_out, a_in, b_in)
+        for a_in, b_in, a_out, b_out in itertools.product((0, 1), repeat=4)
+    }
 
 
 def from_labeled_dict(entries: dict[str, float]) -> NsBox:
@@ -358,20 +298,23 @@ def from_labeled_dict(entries: dict[str, float]) -> NsBox:
             problems.append(f"unrecognized box entry key {key!r}")
             continue
         a_out, b_out, a_in, b_in = (int(g) for g in match.groups())
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-        ):
+        number = _finite_float(value)
+        if number is None:
             problems.append(
                 f"box entry {key!r} must be a finite number, got {value!r}"
             )
             continue
-        table[a_out, b_out, a_in, b_in] = float(value)
-    for index in np.ndindex(2, 2, 2, 2):
-        key = "P({},{}|{},{})".format(*index)
-        if key not in entries:
-            problems.append(f"missing box entry {key}")
+        table[a_out, b_out, a_in, b_in] = number
+    problems.extend(
+        f"missing box entry {key}" for key in _TABLE_KEYS if key not in entries
+    )
     if problems:
         raise ValidationError(problems)
     return NsBox(table)
+
+
+def _finite_float(value) -> float | None:
+    """value as a float if it is a number, not a bool, inside the float
+    range (a test exact for any int, false for nan and inf); else None."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return float(value) if is_number and abs(value) <= sys.float_info.max else None

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from . import montecarlo as mc
 from . import nsbox as nsb
@@ -35,9 +36,10 @@ from .spin import (
     dot,
 )
 
-KINDS = ("chsh", "counterfactual", "nsbox", "classical", "sweep")
 REMOTE_OPTION_NAMES = ("none", "b", "b_prime")
 SWEEP_PARAMETERS = ("theta_degrees", "isotropic_p")
+#: Most points one sweep may evaluate.
+MAX_GRID_POINTS = 1_000_000
 
 # Fixed substream indices: the four setting pairs of a CHSH quad or box
 # come first, remote options follow in listed order.
@@ -155,15 +157,16 @@ def _check_number(
             problems.append(f"parameters.{key} is required")
         return None
     value = params[key]
-    if not _is_number(value) or not math.isfinite(value):
+    number = nsb._finite_float(value)
+    if number is None:
         problems.append(f"parameters.{key} must be a finite number, got {value!r}")
         return None
-    if low is not None and value < low or high is not None and value > high:
+    if low is not None and number < low or high is not None and number > high:
         problems.append(
             f"parameters.{key} must lie in [{low:g}, {high:g}], got {value!r}"
         )
         return None
-    return float(value)
+    return number
 
 
 def _check_extra_keys(params: dict, allowed: set[str], problems: list[str]) -> None:
@@ -308,6 +311,15 @@ def _validate_sweep(params: dict, problems: list[str]) -> None:
         problems.append(
             f"parameters.stop must be >= parameters.start, got {start!r} > {stop!r}"
         )
+    elif None not in (start, stop, step) and step > 0.0:
+        # grid_points makes floor(steps) + 1 points. In Decimal the count
+        # stays finite where the float quotient overflows.
+        steps = (Decimal(stop) - Decimal(start)) / Decimal(step)
+        if steps >= MAX_GRID_POINTS:
+            problems.append(
+                f"parameters.step {step!r} on [{start!r}, {stop!r}] gives "
+                f"{steps + 1:.7g} grid points, more than the {MAX_GRID_POINTS} allowed"
+            )
     if parameter == "theta_degrees":
         _check_number(params, "a_degrees", problems, required=False)
         _check_number(params, "a_prime_degrees", problems, required=False)
@@ -328,14 +340,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if not isinstance(scenario.parameters, dict):
         problems.append("parameters must be a mapping")
         return problems
-    validator = {
-        "chsh": _validate_chsh,
-        "counterfactual": _validate_counterfactual,
-        "nsbox": _validate_nsbox,
-        "classical": _validate_classical,
-        "sweep": _validate_sweep,
-    }[scenario.kind]
-    validator(scenario.parameters, problems)
+    validate, _ = _KINDS[scenario.kind]
+    validate(scenario.parameters, problems)
     return problems
 
 
@@ -348,7 +354,7 @@ def load_scenario_file(path: str) -> Scenario:
         text = handle.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top level must be an object")
@@ -412,6 +418,15 @@ def _mc_fields(est: EmpiricalEstimate | None) -> tuple[float | None, float | Non
     return est.value, est.std_error
 
 
+def _signed_sum(signs, estimates: list[EmpiricalEstimate]) -> tuple[float, float]:
+    """|sum of sign * value| of independent estimates, and its standard
+    error sqrt(sum of se^2)."""
+    return (
+        abs(sum(sign * est.value for sign, est in zip(signs, estimates))),
+        math.sqrt(sum(est.std_error ** 2 for est in estimates)),
+    )
+
+
 def _run_chsh(scenario: Scenario) -> list[ResultRow]:
     params = scenario.parameters
     sid = scenario.scenario_id
@@ -456,11 +471,9 @@ def _run_chsh(scenario: Scenario) -> list[ResultRow]:
         s_flags.append(str(annotation))
     s_mc_value = s_mc_se = None
     if cfg is not None:
-        signs = [signed for (_, _, _, signed) in pairs]
-        s_mc_value = abs(sum(
-            sign * est.value for sign, est in zip(signs, pair_estimates)
-        ))
-        s_mc_se = math.sqrt(sum(est.std_error ** 2 for est in pair_estimates))
+        s_mc_value, s_mc_se = _signed_sum(
+            [sign for (_, _, _, sign) in pairs], pair_estimates
+        )
     rows.append(ResultRow(
         sid, "chsh_s", s_value, s_mc_value, s_mc_se, ";".join(s_flags),
     ))
@@ -582,13 +595,8 @@ def _run_nsbox(scenario: Scenario) -> list[ResultRow]:
     s_e = nsb.chsh_s_e(box)
     parity_mc = parity_se = corr_form_mc = corr_form_se = None
     if cfg is not None:
-        parity_mc = sum(est.value for est in rate_ests)
-        parity_se = math.sqrt(sum(est.std_error ** 2 for est in rate_ests))
-        corr_form_mc = abs(sum(
-            sign * est.value
-            for sign, est in zip((1.0, 1.0, 1.0, -1.0), corr_ests)
-        ))
-        corr_form_se = math.sqrt(sum(est.std_error ** 2 for est in corr_ests))
+        parity_mc, parity_se = _signed_sum((1.0, 1.0, 1.0, 1.0), rate_ests)
+        corr_form_mc, corr_form_se = _signed_sum((1.0, 1.0, 1.0, -1.0), corr_ests)
     rows.append(ResultRow(
         sid, "chsh_s_parity", s_parity, parity_mc, parity_se,
     ))
@@ -641,6 +649,17 @@ def _run_classical(scenario: Scenario) -> list[ResultRow]:
     return [ResultRow(sid, "rho", mc.shapes_rho(rc, bs), mc_value, mc_se)]
 
 
+#: Each scenario kind's (validator, runner); a sweep runs through sweep_rows.
+_KINDS = {
+    "chsh": (_validate_chsh, _run_chsh),
+    "counterfactual": (_validate_counterfactual, _run_counterfactual),
+    "nsbox": (_validate_nsbox, _run_nsbox),
+    "classical": (_validate_classical, _run_classical),
+    "sweep": (_validate_sweep, None),
+}
+KINDS = tuple(_KINDS)
+
+
 def run(scenario: Scenario) -> list[ResultRow]:
     """Execute one non-sweep scenario, returning its result rows.
 
@@ -650,17 +669,12 @@ def run(scenario: Scenario) -> list[ResultRow]:
     problems = validate_scenario(scenario)
     if problems:
         raise ValidationError(problems)
-    if scenario.kind == "sweep":
+    _, runner = _KINDS[scenario.kind]
+    if runner is None:
         raise ValidationError(
             "sweep scenarios produce grid rows; run them with sweep_rows "
             "or the sweep command"
         )
-    runner = {
-        "chsh": _run_chsh,
-        "counterfactual": _run_counterfactual,
-        "nsbox": _run_nsbox,
-        "classical": _run_classical,
-    }[scenario.kind]
     return runner(scenario)
 
 

@@ -157,12 +157,21 @@ class TestSweepCommand:
         assert mid[2] == "0.5"
 
     def test_bad_grid_is_validation_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--parameter", "isotropic_p",
-            "--start", "0", "--stop", "2", "--step", "0.1",
-        )
-        assert code == 1
-        assert "error:" in err
+        # An out-of-range stop, and grids over the cap, which must be
+        # refused before any point is built.
+        for stop, step, needle in (
+            ("2", "0.1", "parameters.stop"),
+            ("1", "1e-12", "gives 1.000000e+12 grid points"),
+            ("1", "1e-320", "gives 1.000011e+320 grid points"),
+        ):
+            code, out, err = run_cli(
+                capsys, "sweep", "--parameter", "isotropic_p",
+                "--start", "0", "--stop", stop, "--step", step,
+            )
+            assert code == 1, step
+            assert out == ""
+            assert "error:" in err and needle in err
+            assert "Error:" not in err  # no exception type: a named problem
 
 
 class TestListAndValidate:
@@ -226,6 +235,21 @@ class TestExitCodes:
             assert out == ""
             assert "n_samples" in err
             assert "Error:" not in err  # no exception type: a named problem
+
+    def test_oversized_integer_and_boolean_are_named_problems(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        for document, field in (
+            ('{"id": "x", "kind": "nsbox", "parameters": {"isotropic_p": 1'
+             + "0" * 400 + "}}", "isotropic_p"),
+            ('{"id": "x", "kind": "classical", "parameters": {"variant": "coin"},'
+             ' "mc": {"seed": true}}', "seed"),
+        ):
+            path.write_text(document)
+            code, out, err = run_cli(capsys, "run", str(path))
+            assert code == 1, field
+            assert out == ""
+            assert err.count("error:") == 1 and field in err
+            assert "Error:" not in err
 
     def test_bogus_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

@@ -45,6 +45,12 @@ class TestConfig:
             SampleConfig(n_samples=10, seed=-1)
         with pytest.raises(DomainError):
             SampleConfig(n_samples=2.5)
+        # bool is an int subclass, but neither flag is a count or a seed
+        with pytest.raises(DomainError, match="n_samples"):
+            SampleConfig(n_samples=True)
+        for seed in (True, False):
+            with pytest.raises(DomainError, match="seed"):
+                SampleConfig(n_samples=10, seed=seed)
         with pytest.raises(DomainError, match="n_samples"):
             SampleConfig(n_samples=MAX_SAMPLES + 1)
         assert SampleConfig(n_samples=MAX_SAMPLES).n_samples == 2**63 - 1

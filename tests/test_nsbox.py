@@ -121,6 +121,37 @@ class TestValidation:
         kinds = {v.kind for v in validate_no_signalling(NsBox(table))}
         assert "entry-range" in kinds
 
+    def test_violation_list_is_pinned_in_order(self):
+        # Breaks every constraint kind; the list order is the CLI's stderr order.
+        table = np.full((2, 2, 2, 2), 0.25)
+        table[0, 0, 0, 0] = -0.25  # out of range; setting (0,0) sums to 0.5
+        table[:, :, 0, 1] = [[0.7, 0.1], [0.1, 0.1]]  # normalized, marginals 0.8/0.2
+        table[1, 1, 1, 1] = 1.25  # out of range; setting (1,1) sums to 2
+        got = [
+            (v.kind, v.where, v.residual)
+            for v in validate_no_signalling(NsBox(table))
+        ]
+        assert got == [
+            ("entry-range", "P(0,0|0,0)", 0.25),
+            ("entry-range", "P(1,1|1,1)", 0.25),
+            ("normalization", "sum P(.,.|0,0)", 0.5),
+            ("normalization", "sum P(.,.|1,1)", 1.0),
+            ("no-signalling", "P(A=0|a=0) across b", pytest.approx(0.8)),
+            ("no-signalling", "P(A=1|a=0) across b", pytest.approx(0.3)),
+            ("no-signalling", "P(A=1|a=1) across b", 1.0),
+            ("no-signalling", "P(B=0|b=0) across a", 0.5),
+            ("no-signalling", "P(B=0|b=1) across a", pytest.approx(0.3)),
+            ("no-signalling", "P(B=1|b=1) across a", pytest.approx(1.3)),
+            ("uniform-marginal", "P(A=0|a=0,b=0)", 0.5),
+            ("uniform-marginal", "P(B=0|a=0,b=0)", 0.5),
+            ("uniform-marginal", "P(A=0|a=0,b=1)", pytest.approx(0.3)),
+            ("uniform-marginal", "P(A=1|a=0,b=1)", pytest.approx(0.3)),
+            ("uniform-marginal", "P(B=0|a=0,b=1)", pytest.approx(0.3)),
+            ("uniform-marginal", "P(B=1|a=0,b=1)", pytest.approx(0.3)),
+            ("uniform-marginal", "P(A=1|a=1,b=1)", 1.0),
+            ("uniform-marginal", "P(B=1|a=1,b=1)", 1.0),
+        ]
+
     @given(correlator_values, correlator_values, correlator_values, correlator_values)
     def test_correlator_boxes_always_valid(self, e00, e01, e10, e11):
         box = from_correlators(e00, e01, e10, e11)

@@ -6,6 +6,7 @@ import pytest
 from mucorr.errors import ValidationError
 from mucorr.montecarlo import SampleConfig
 from mucorr.scenarios import (
+    MAX_GRID_POINTS,
     ResultRow,
     Scenario,
     as_record,
@@ -201,7 +202,7 @@ class TestNsboxKind:
     def test_non_finite_box_entry_is_one_named_problem(self):
         from mucorr.nsbox import pr_box, to_labeled_dict
 
-        for value in (math.nan, math.inf, -math.inf):
+        for value in (math.nan, math.inf, -math.inf, 10**400, -(10**400)):
             table = to_labeled_dict(pr_box())
             table["P(0,1|1,1)"] = value
             scenario = Scenario(
@@ -290,6 +291,11 @@ class TestValidation:
     def test_nsbox_isotropic_p_range(self):
         problems = validate_scenario(self.mk("nsbox", {"isotropic_p": 1.2}))
         assert any("isotropic_p" in p for p in problems)
+        # an integer beyond the float range is one named problem, not a crash
+        problems = validate_scenario(self.mk("nsbox", {"isotropic_p": 10**400}))
+        assert problems == [
+            f"parameters.isotropic_p must be a finite number, got {10**400!r}"
+        ]
 
     def test_classical_variant_and_rates(self):
         problems = validate_scenario(self.mk("classical", {"variant": "dice"}))
@@ -317,6 +323,19 @@ class TestValidation:
         )
         out_of_range = dict(base, stop=2.0)
         assert validate_scenario(self.mk("sweep", out_of_range))
+        # the grid cap: 10^6 points pass, one more does not, and a count
+        # beyond the float range is still named
+        theta = {"parameter": "theta_degrees", "start": 0.0, "step": 1.0}
+        assert validate_scenario(self.mk("sweep", dict(theta, stop=999_999.0))) == []
+        for params, count in (
+            (dict(theta, stop=1_000_000.0), "1000001"),
+            (dict(base, step=1e-12), "1.000000e+12"),
+            (dict(base, step=1e-320), "1.000011e+320"),
+        ):
+            problems = validate_scenario(self.mk("sweep", params))
+            assert len(problems) == 1
+            assert f"gives {count} grid points" in problems[0]
+            assert str(MAX_GRID_POINTS) in problems[0]
         angles_on_isotropic = dict(base, a_degrees=0.0)
         assert any(
             "a_degrees" in p
@@ -360,6 +379,16 @@ class TestScenarioFiles:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             load_scenario_file(str(path))
+        # An integer literal over Python's 4300-digit limit fails to parse;
+        # without that limit it is a number beyond the float range.
+        path.write_text(
+            '{"id": "x", "kind": "nsbox", "parameters": {"isotropic_p": 1'
+            + "0" * 5000 + "}}"
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            load_scenario_file(str(path))
+        (message,) = excinfo.value.messages
+        assert "not valid JSON" in message or "isotropic_p" in message
 
     def test_load_unknown_top_level_key(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -382,6 +411,8 @@ class TestScenarioFiles:
             ({"n_samples": 0, "seed": 3}, "n_samples"),
             ({"n_samples": 100, "seed": -1}, "seed"),
             ({"n_samples": 100, "seed": 3, "burn_in": 9}, "burn_in"),
+            ({"n_samples": True, "seed": 3}, "n_samples"),
+            ({"n_samples": 100, "seed": True}, "seed"),
         ):
             path = tmp_path / "badmc.json"
             path.write_text(
