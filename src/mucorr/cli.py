@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -64,7 +65,9 @@ def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="mucorr",
         description=(
@@ -180,10 +183,17 @@ def emit(records: list[dict], format: str = "table", out: str | None = None) -> 
     }[format]
     text = renderer(records)
     if out is None:
-        sys.stdout.write(text)
+        _write_in_slices(sys.stdout, text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            _write_in_slices(handle, text)
+
+
+def _write_in_slices(stream, text: str) -> None:
+    """Write text 2^20 characters at a time: a text stream encodes each write
+    whole, so one write of a large output would hold a second, encoded copy."""
+    for start in range(0, len(text), 1 << 20):
+        stream.write(text[start:start + (1 << 20)])
 
 
 def _resolve_scenario(reference: str) -> Scenario:

@@ -4,8 +4,8 @@ A box is a conditional probability table P(A, B | a, b) with A, B, a, b
 all in {0, 1}. The boxes of interest have uniformly random local outputs
 and marginals independent of the remote input (no-signalling). The target
 parity for inputs (a, b) is the product ab: the winning event is
-A xor B = ab. Every box quantity reduces the table over (A, B) through one
-of two masks: A = B for the correlators, A xor B = ab for the target rates.
+A xor B = ab. Every box quantity reads two-cell sums of the table over
+(A, B), and those sums take a trailing grid axis for a whole isotropic sweep.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ _OUT_A, _OUT_B, _IN_A, _IN_B = np.indices((2, 2, 2, 2))
 _SAME = _OUT_A == _OUT_B
 #: Cells of table[A, B, a, b] that hit the target parity, A xor B = ab.
 _WIN = (_OUT_A ^ _OUT_B) == (_IN_A & _IN_B)
-_MASKS = np.stack([_SAME, ~_SAME, _WIN])
 #: The wire-format keys "P(A,B|a,b)" in table order.
 _TABLE_KEYS = ["P({},{}|{},{})".format(*i) for i in itertools.product((0, 1), repeat=4)]
 
@@ -55,12 +54,7 @@ class NsBox:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
-        # -0.0 is the exact additive identity, as filler and as the start of
-        # each sum, so a masked sum is the plain sum of the mask's two cells.
-        masked = np.where(_MASKS, arr, -0.0)
-        same, differ, win = masked.sum(axis=(1, 2), initial=-0.0)
-        corr = same - differ
-        for name, value in (("_win", win), ("_corr", corr)):
+        for name, value in zip(("_win", "_corr"), _rates(arr)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -73,6 +67,20 @@ class NsBox:
         return np.array(self.table[:, :, a_in, b_in])
 
 
+def _rates(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Target rates win[a, b] and correlators corr[a, b] of table[A, B, a, b],
+    each from sums of two cells; trailing (grid) axes carry through."""
+    same, differ = table[0, 0] + table[1, 1], table[0, 1] + table[1, 0]
+    win = same.copy()
+    win[1, 1] = differ[1, 1]  # the target parity for a = b = 1 is A != B
+    return win, same - differ
+
+
+def _isotropic_table(p):
+    """table[A, B, a, b] of the isotropic box at p, with p's grid axis last."""
+    return np.where(_WIN.reshape(_WIN.shape + (1,) * np.ndim(p)), p / 2.0, (1.0 - p) / 2.0)
+
+
 def make_isotropic(p: float) -> NsBox:
     """Box in which the target parity holds with the same probability p
     for all four input pairs, outcomes split evenly within each parity.
@@ -82,7 +90,16 @@ def make_isotropic(p: float) -> NsBox:
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"isotropic parameter must lie in [0, 1], got {p!r}")
-    return NsBox(np.where(_WIN, p / 2.0, (1.0 - p) / 2.0))
+    return NsBox(_isotropic_table(p))
+
+
+def isotropic_sweep(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """chsh_s_ns, chsh_s_e and rho_min_ns(., 0) of make_isotropic(p) for every
+    p of a 1-d grid in [0, 1], bit for bit, as three columns."""
+    if not ((0.0 <= p) & (p <= 1.0)).all():
+        raise DomainError("isotropic parameters must lie in [0, 1]")
+    win, corr = _rates(_isotropic_table(p))
+    return _parity_sum(win), abs(_e_form(corr)), _rho_min(win, 0)
 
 
 def pr_box() -> NsBox:
@@ -158,10 +175,26 @@ def correlator(box: NsBox, a_in: int, b_in: int) -> float:
     return float(box._corr[a_in, b_in])
 
 
+# win[a][b] and corr[a][b] are nested lists of Python floats or grid columns.
+def _parity_sum(win):
+    (w00, w01), (w10, w11) = win
+    return abs(w00 + w01 + w10 + w11)
+
+
+def _e_form(corr):
+    (e00, e01), (e10, e11) = corr
+    return e00 + e01 + e10 - e11
+
+
+def _rho_min(win, b_setting: int):
+    # fmax, like Python's max(-1.0, x), gives -1.0 for a nan x.
+    return np.fmax(-1.0, 2.0 * (win[0][b_setting] + win[1][b_setting]) - 3.0)
+
+
 def chsh_s_ns(box: NsBox) -> float:
     """Parity-form CHSH value: the sum over input pairs of the probability
     that A xor B = ab. Ranges over [0, 4]; 3 is the classical bound."""
-    return abs(sum(box._win.ravel().tolist()))
+    return _parity_sum(box._win.tolist())
 
 
 def chsh_e_form(box: NsBox) -> float:
@@ -172,8 +205,7 @@ def chsh_e_form(box: NsBox) -> float:
     (:func:`chsh_s_e`) also exceeds 2 for p < 0.25, where the box wins
     the complementary parity game instead.
     """
-    e00, e01, e10, e11 = box._corr.ravel().tolist()
-    return e00 + e01 + e10 - e11
+    return _e_form(box._corr.tolist())
 
 
 def chsh_s_e(box: NsBox) -> float:
@@ -195,8 +227,7 @@ def rho_min_ns(box: NsBox, b_setting: int) -> float:
     """
     if b_setting not in (0, 1):
         raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
-    p0, p1 = box._win[:, b_setting].tolist()
-    return max(-1.0, 2.0 * (p0 + p1) - 3.0)
+    return float(_rho_min(box._win.tolist(), b_setting))
 
 
 def rho_ci_ns(p: float) -> float:

@@ -59,6 +59,14 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "run", "paper-shapes", "--format", "csv")
         assert code == 0
         assert target.read_text() == out
+        # An output of several 2^20-character slices, both ways.
+        sweep = ["sweep", "--parameter", "theta_degrees", "--start", "0",
+                 "--stop", "360", "--step", "0.01", "--format", "json"]
+        assert run_cli(capsys, *sweep, "--out", str(target))[:2] == (0, "")
+        code, out, _ = run_cli(capsys, *sweep)
+        assert code == 0 and len(out) > 3 * 2**20
+        assert target.read_text() == out
+        assert json.loads(out)[-1]["theta_degrees"] == 360.0
 
     def test_csv_round_trips_to_twelve_digits(self, capsys):
         import csv
@@ -157,16 +165,19 @@ class TestSweepCommand:
         assert mid[2] == "0.5"
 
     def test_bad_grid_is_validation_error(self, capsys):
-        # An out-of-range stop, and grids over the cap, which must be
-        # refused before any point is built.
-        for stop, step, needle in (
-            ("2", "0.1", "parameters.stop"),
-            ("1", "1e-12", "gives 1.000000e+12 grid points"),
-            ("1", "1e-320", "gives 1.000011e+320 grid points"),
+        # An out-of-range stop, grids over the cap, which must be refused
+        # before any point is built, and grids that leave the float range.
+        for parameter, start, stop, step, needle in (
+            ("isotropic_p", "0", "2", "0.1", "parameters.stop"),
+            ("isotropic_p", "0", "1", "1e-12", "gives 1.000000e+12 grid points"),
+            ("isotropic_p", "0", "1", "1e-320", "gives 1.000011e+320 grid points"),
+            ("theta_degrees", "-1e308", "1e308", "1e303", "spans more than the largest float"),
+            ("theta_degrees", "1.7e308", "1.7976931348623157e308", "9.769313487208508e306",
+             "puts the last grid point beyond the largest float"),
         ):
             code, out, err = run_cli(
-                capsys, "sweep", "--parameter", "isotropic_p",
-                "--start", "0", "--stop", stop, "--step", step,
+                capsys, "sweep", "--parameter", parameter,
+                f"--start={start}", "--stop", stop, "--step", step,
             )
             assert code == 1, step
             assert out == ""
@@ -279,6 +290,31 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "paper-coin" in proc.stdout
+
+
+class TestRepeatedCalls:
+    def test_main_keeps_nothing_between_calls(self, capsys):
+        sweep = ["sweep", "--parameter", "theta_degrees", "--start", "0",
+                 "--stop", "90", "--step", "7.5", "--a-degrees", "10",
+                 "--a-prime-degrees", "100", "--format", "csv"]
+        alone = subprocess.run(
+            [sys.executable, "-m", "mucorr", *sweep],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert alone.returncode == 0
+        code, out, _ = run_cli(
+            capsys, "run", "paper-coin", "--samples", "1000", "--seed", "3",
+            "--format", "json",
+        )
+        assert code == 0 and json.loads(out)[0]["mc_value"] is not None
+        code, out, _ = run_cli(capsys, "run", "paper-coin", "--format", "json")
+        assert code == 0 and json.loads(out)[0]["mc_value"] is None
+        assert run_cli(capsys, "run", "paper-coin", "--samples", "x")[0] == 1
+        assert run_cli(capsys, *sweep) == (0, alone.stdout, "")
+        # Without the theta flags the defaults come back.
+        code, out, _ = run_cli(capsys, *sweep[:-6], "--format", "csv")
+        assert code == 0 and out != alone.stdout
+        assert abs(float(out.split("\n")[1].split(",")[2])) < 1e-12  # rho_ci at theta = a = 0
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

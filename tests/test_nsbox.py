@@ -18,6 +18,7 @@ from mucorr.nsbox import (
     from_correlators,
     from_labeled_dict,
     isotropic_parameter,
+    isotropic_sweep,
     make_isotropic,
     pr_box,
     rho_ci_ns,
@@ -62,6 +63,9 @@ class TestConstruction:
             make_isotropic(-0.01)
         with pytest.raises(DomainError):
             make_isotropic(1.01)
+        for bad in (-0.01, 1.01, math.nan):
+            with pytest.raises(DomainError):
+                isotropic_sweep(np.array([0.5, bad]))
 
     def test_from_correlators_recovers_inputs(self):
         box = from_correlators(0.3, -0.2, 0.7, -1.0)

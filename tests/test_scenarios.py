@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 
 import pytest
 
+from mucorr import nsbox as nsb
+from mucorr.counterfactual import report_for_option
 from mucorr.errors import ValidationError
 from mucorr.montecarlo import SampleConfig
 from mucorr.scenarios import (
@@ -17,6 +20,7 @@ from mucorr.scenarios import (
     sweep_rows,
     validate_scenario,
 )
+from mucorr.spin import Direction
 
 MANDATED_IDS = {
     "paper-standard",
@@ -336,6 +340,17 @@ class TestValidation:
             assert len(problems) == 1
             assert f"gives {count} grid points" in problems[0]
             assert str(MAX_GRID_POINTS) in problems[0]
+        # Under the cap, a span or a last point beyond the float range is named.
+        for params, needle in (
+            (dict(theta, start=-1e308, stop=1e308, step=1e303), "spans more than"),
+            (dict(theta, start=1.7e308, stop=sys.float_info.max, step=9.769313487208508e306),
+             "puts the last grid point beyond"),
+        ):
+            assert [needle in p for p in validate_scenario(self.mk("sweep", params))] == [True]
+        # A grid spanning 1.6e308 still fits, with all its points.
+        edge = dict(theta, start=-8e307, stop=8e307, step=1.6e303)
+        assert validate_scenario(self.mk("sweep", edge)) == []
+        assert len(grid_points(-8e307, 8e307, 1.6e303)) == 100_001
         angles_on_isotropic = dict(base, a_degrees=0.0)
         assert any(
             "a_degrees" in p
@@ -389,6 +404,17 @@ class TestScenarioFiles:
             load_scenario_file(str(path))
         (message,) = excinfo.value.messages
         assert "not valid JSON" in message or "isotropic_p" in message
+        # Bytes that are not UTF-8 (a UTF-16 byte-order mark), and nesting
+        # deeper than the parser's recursion limit.
+        for content, needle in (
+            (b"\xff\xfe{}", "not valid UTF-8"),
+            (b"[" * 100_000, "not valid JSON: nested too deeply"),
+        ):
+            path.write_bytes(content)
+            with pytest.raises(ValidationError) as excinfo:
+                load_scenario_file(str(path))
+            (message,) = excinfo.value.messages
+            assert needle in message
 
     def test_load_unknown_top_level_key(self, tmp_path):
         path = tmp_path / "extra.json"
@@ -519,6 +545,63 @@ class TestSweeps:
         top = records[-1]
         assert top["s_ns"] == pytest.approx(4.0, abs=1e-12)
         assert top["rho_ci"] == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _bits(records):
+        """Keys in order, and every float by its exact bits (sign of zero too)."""
+        return [
+            [(k, v.hex() if type(v) is float else v) for k, v in rec.items()]
+            for rec in records
+        ]
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 1.0, 1e-3),
+        (0.0, 1.0, 0.0010000000000001),  # the last point, 1 + 1e-13, is clamped
+        (0.0, 1e-320, 5e-324),  # subnormal p
+        (1.0 - 1e-12, 1.0, 3e-15),
+        *(
+            (lo, lo + (1.0 - lo) * w, (1.0 - lo) * w / n)
+            for lo, w, n in zip([0.0, 0.1234, 0.4999, 0.731, 0.98765],
+                                [1.0, 0.5, 0.001, 0.27, 0.9], [997, 1013, 409, 3001, 64])
+        ),
+    ])
+    def test_isotropic_rows_equal_the_per_point_definitions(self, start, stop, step):
+        scenario = Scenario("s", "sweep", {
+            "parameter": "isotropic_p", "start": start, "stop": stop, "step": step,
+        })
+        reference = []
+        for p in grid_points(start, stop, step):
+            p = min(max(p, 0.0), 1.0)
+            box = nsb.make_isotropic(p)
+            reference.append({
+                "scenario": "s", "isotropic_p": p, "s_ns": nsb.chsh_s_ns(box),
+                "s_e": nsb.chsh_s_e(box), "rho_min": nsb.rho_min_ns(box, 0),
+                "rho_ci": nsb.rho_ci_ns(p),
+            })
+        assert self._bits(sweep_rows(scenario)) == self._bits(reference)
+
+    @pytest.mark.parametrize("start, stop, step, a, a_prime", [
+        (-720.0, 720.0, 0.37, 17.5, 107.5),
+        (-720.0, 720.0, 1.1, -33.25, 56.75),
+        (0.0, 1e-318, 1e-321, 0.0, 90.0),
+        (1e300, 1e300 + 500 * 1e290, 1e290, 12.0, 102.0),
+        (-1e300, -1e300 + 500 * 1e290, 1e290, 0.0, 90.0),
+    ])
+    def test_theta_rows_equal_the_per_point_definitions(self, start, stop, step, a, a_prime):
+        scenario = Scenario("s", "sweep", {
+            "parameter": "theta_degrees", "start": start, "stop": stop, "step": step,
+            "a_degrees": a, "a_prime_degrees": a_prime,
+        })
+        dir_a, dir_a_prime = Direction.from_degrees(a), Direction.from_degrees(a_prime)
+        reference = []
+        for theta in grid_points(start, stop, step):
+            report = report_for_option(Direction.from_degrees(theta), dir_a, dir_a_prime)
+            reference.append({
+                "scenario": "s", "theta_degrees": theta,
+                "rho_ci": report.rho_ci, "info_bits": report.info_bits,
+            })
+        assert len(reference) > 400
+        assert self._bits(sweep_rows(scenario)) == self._bits(reference)
 
 
 class TestRecords:
