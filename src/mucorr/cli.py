@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 from .errors import DegenerateSequenceError, ValidationError
 from .montecarlo import SampleConfig
@@ -125,32 +126,41 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+#: Rows that CSV and JSON format at a time, so that beside the text they hold
+#: the cells of one block, not of every record.
+_BLOCK_ROWS = 4096
+
+_float_cell = "{:.12g}".format
+
+
+def _cell_column(records: list[dict], header) -> tuple[list[str], set[type]]:
+    """A header's cells over the records, as `_fmt_cell` gives them, fetched
+    and formatted in one pass, with the set of the values' types."""
+    values = [rec.get(header) for rec in records]
+    types = set(map(type, values))
+    return list(map(_float_cell if types == {float} else _fmt_cell, values)), types
+
+
 def _render_table(records: list[dict]) -> str:
     headers = list(records[0].keys())
-    body = [[_fmt_cell(rec.get(h)) for h in headers] for rec in records]
-    widths = [
-        max(len(h), max(len(row[i]) for row in body))
-        for i, h in enumerate(headers)
+    if not headers:
+        return "\n" * (len(records) + 2)
+    columns, widths, aligns = [], [], []
+    for header in headers:
+        cells, types = _cell_column(records, header)
+        columns.append(cells)
+        widths.append(max(len(header), max(map(len, cells))))
+        numeric = all(t is type(None) or issubclass(t, (int, float)) for t in types)
+        aligns.append(">" if numeric else "<")
+    # One format string pads a whole row: numbers right, text left.
+    row = "  ".join(f"{{:{align}{width}}}" for align, width in zip(aligns, widths))
+    lines = [
+        row.format(*headers).rstrip(),
+        row.format(*["-" * width for width in widths]).rstrip(),
     ]
-    numeric = [
-        all(
-            rec.get(h) is None or isinstance(rec.get(h), (int, float))
-            for rec in records
-        )
-        for h in headers
-    ]
-
-    def line(cells: list[str]) -> str:
-        parts = []
-        for i, cell in enumerate(cells):
-            parts.append(
-                cell.rjust(widths[i]) if numeric[i] else cell.ljust(widths[i])
-            )
-        return "  ".join(parts).rstrip()
-
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in body)
-    return "\n".join(out) + "\n"
+    lines.extend(map(str.rstrip, map(row.format, *columns)))
+    lines.append("")  # the text ends in a newline
+    return "\n".join(lines)
 
 
 def _render_csv(records: list[dict]) -> str:
@@ -158,13 +168,73 @@ def _render_csv(records: list[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
-    for rec in records:
-        writer.writerow([_fmt_cell(rec.get(h)) for h in headers])
+    for start in range(0, len(records), _BLOCK_ROWS):
+        block = records[start:start + _BLOCK_ROWS]
+        if headers:
+            writer.writerows(zip(*(_cell_column(block, h)[0] for h in headers)))
+        else:
+            writer.writerows([()] * len(block))
     return buffer.getvalue()
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+#: How `json` writes each scalar type it is given exactly (not a subclass).
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _json_column(values: list) -> list[str] | None:
+    """The values as JSON, or None if one of them is not a plain scalar."""
+    types = set(map(type, values))
+    if types == {float}:
+        texts = list(map(float.__repr__, values))
+        return list(map(_NON_FINITE.get, texts, texts))
+    if not types <= _JSON_SCALARS.keys():
+        return None
+    return [_JSON_SCALARS[type(value)](value) for value in values]
+
+
+def _json_records(block: list[dict]) -> list[str]:
+    """Each record as `json.dumps(records, indent=2)` lays it out in the
+    array: a column at a time while the records share their keys and hold
+    plain scalars, else record by record, and `json.dumps` for a record
+    that holds anything else."""
+    keys = list(block[0])
+    if keys and all(map(keys.__eq__, map(list, block))) and all(
+        type(key) is str for key in keys
+    ):
+        columns = [_json_column([rec[key] for rec in block]) for key in keys]
+        if None not in columns:
+            record = ",\n    ".join(
+                encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}")
+                + ": {}"
+                for key in keys
+            )
+            return list(map(("  {{\n    " + record + "\n  }}").format, *columns))
+    if len(block) > 1:
+        return [text for rec in block for text in _json_records([rec])]
+    return ["  " + json.dumps(block[0], indent=2).replace("\n", "\n  ")]
+
+
 def _render_json(records: list[dict]) -> str:
-    return json.dumps(records, indent=2) + "\n"
+    parts = ["[\n"]
+    for start in range(0, len(records), _BLOCK_ROWS):
+        parts.append(",\n".join(_json_records(records[start:start + _BLOCK_ROWS])))
+        parts.append(",\n")
+    parts[-1] = "\n]\n"
+    return "".join(parts)
 
 
 def emit(records: list[dict], format: str = "table", out: str | None = None) -> None:

@@ -168,9 +168,13 @@ def _check_number(
         problems.append(f"parameters.{key} must be a finite number, got {value!r}")
         return None
     if low is not None and number < low or high is not None and number > high:
-        problems.append(
-            f"parameters.{key} must lie in [{low:g}, {high:g}], got {value!r}"
-        )
+        if high is None:
+            bound = f"be >= {low:g}"
+        elif low is None:
+            bound = f"be <= {high:g}"
+        else:
+            bound = f"lie in [{low:g}, {high:g}]"
+        problems.append(f"parameters.{key} must {bound}, got {value!r}")
         return None
     return number
 
@@ -178,7 +182,10 @@ def _check_number(
 def _check_extra_keys(params: dict, allowed: set[str], problems: list[str]) -> None:
     for key in params:
         if key not in allowed:
-            problems.append(f"parameters.{key} is not a recognized parameter")
+            # A line break or control character in the key would split or
+            # garble the one-line message: such a key is shown quoted.
+            shown = key if isinstance(key, str) and key.isprintable() else repr(key)
+            problems.append(f"parameters.{shown} is not a recognized parameter")
 
 
 def _validate_chsh(params: dict, problems: list[str]) -> None:

@@ -1,17 +1,182 @@
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mucorr import cli
 from mucorr.cli import main
-from mucorr.scenarios import as_record, builtin_scenarios, run
+from mucorr.scenarios import Scenario, as_record, builtin_scenarios, run, sweep_rows
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Reference renderers: the cell-by-cell loops the column renderers replace.
+# Every format must stay byte-identical to these.
+
+
+def reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def reference_table(records: list[dict]) -> str:
+    headers = list(records[0].keys())
+    body = [[reference_cell(rec.get(h)) for h in headers] for rec in records]
+    widths = [
+        max(len(h), max(len(row[i]) for row in body))
+        for i, h in enumerate(headers)
+    ]
+    numeric = [
+        all(
+            rec.get(h) is None or isinstance(rec.get(h), (int, float))
+            for rec in records
+        )
+        for h in headers
+    ]
+
+    def line(cells: list[str]) -> str:
+        parts = []
+        for i, cell in enumerate(cells):
+            parts.append(
+                cell.rjust(widths[i]) if numeric[i] else cell.ljust(widths[i])
+            )
+        return "  ".join(parts).rstrip()
+
+    out = [line(headers), line(["-" * w for w in widths])]
+    out.extend(line(row) for row in body)
+    return "\n".join(out) + "\n"
+
+
+def reference_csv(records: list[dict]) -> str:
+    headers = list(records[0].keys())
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(headers)
+    for rec in records:
+        writer.writerow([reference_cell(rec.get(h)) for h in headers])
+    return buffer.getvalue()
+
+
+def reference_json(records: list[dict]) -> str:
+    return json.dumps(records, indent=2) + "\n"
+
+
+RENDERERS = {
+    "table": (cli._render_table, reference_table),
+    "csv": (cli._render_csv, reference_csv),
+    "json": (cli._render_json, reference_json),
+}
+
+FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
+     1.7976931348623157e308, 0.1, 1e16, 123456789012.5, 2.5e-7]
+)
+TEXTS = st.text(max_size=6) | st.sampled_from(
+    ["", "a,b", 'say "hi"', "line\nbreak", "cr\r\n", "\u00fcn\u00efc\u00f6de",
+     "\u65e5\u672c", " pad ", "tab\t", "\u2028", "{}", "{0}", "\\", "\x00"]
+)
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | TEXTS
+# Values only JSON is asked to render as the json module does: nested values
+# and subclasses of float and int.
+JSON_VALUES = (
+    SCALARS
+    | FLOATS.map(np.float64)
+    | st.recursive(
+        SCALARS,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(TEXTS, inner, max_size=3),
+        max_leaves=6,
+    )
+)
+JSON_KEYS = TEXTS | st.integers() | FLOATS | st.none() | st.booleans()
+
+
+@st.composite
+def record_lists(draw, values=SCALARS, keys=TEXTS):
+    """Records that mostly share their keys, each column of one kind of value,
+    with some records whose keys differ, come in another order or are
+    missing."""
+    headers = draw(st.lists(keys, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from([FLOATS, st.integers(), TEXTS, values]))
+             for _ in headers]
+    records = [
+        {h: draw(kind) for h, kind in zip(headers, kinds)}
+        for _ in range(draw(st.integers(1, 9)))
+    ]
+    for other in draw(st.lists(st.dictionaries(keys, values, max_size=4), max_size=3)):
+        records.insert(draw(st.integers(0, len(records))), other)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(records) - 1))
+        records[i] = dict(reversed(list(records[i].items())))
+    return records
+
+
+def rendered(render, records) -> tuple:
+    try:
+        return ("ok", render(records))
+    except Exception as exc:  # the same failure is part of the contract
+        return ("error", type(exc).__name__, str(exc))
+
+
+class TestRenderers:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), block=st.sampled_from([1, 2, 3, cli._BLOCK_ROWS]))
+    def test_renderers_equal_the_per_cell_references(self, data, block):
+        with mock.patch.object(cli, "_BLOCK_ROWS", block):
+            records = data.draw(record_lists())
+            for fmt, (render, reference) in RENDERERS.items():
+                assert rendered(render, records) == rendered(reference, records), fmt
+            records = data.draw(record_lists(JSON_VALUES, JSON_KEYS))
+            assert rendered(cli._render_json, records) == rendered(reference_json, records)
+
+    def test_edge_records(self):
+        for records in (
+            [{}],
+            [{}, {"a": 1.0}],
+            [{"a": 1.0}, {}, {"b": "x"}],
+            [{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}],
+            [{"": ""}, {"": None}],
+            [{"x": np.float64(0.1), "y": [1, {"z": math.nan}]}, {"x": 0.1, "y": {}}],
+            [{1: 2.0, "1": 3.0}, {None: True, 2.5: False}],
+        ):
+            for fmt, (render, reference) in RENDERERS.items():
+                assert rendered(render, records) == rendered(reference, records), (
+                    fmt, records,
+                )
+
+    def test_sweeps_over_several_blocks(self):
+        for parameter, stop, step in (
+            ("isotropic_p", 1.0, 1e-4), ("theta_degrees", 360.0, 0.04),
+        ):
+            records = sweep_rows(Scenario(
+                scenario_id="s", kind="sweep",
+                parameters={"parameter": parameter, "start": 0.0,
+                            "stop": stop, "step": step},
+            ))
+            assert len(records) > 2 * cli._BLOCK_ROWS
+            for fmt, (render, reference) in RENDERERS.items():
+                assert render(records) == reference(records), (parameter, fmt)
+
+    def test_every_run_equals_the_references(self):
+        for scenario in builtin_scenarios().values():
+            records = [as_record(row) for row in run(scenario)]
+            for fmt, (render, reference) in RENDERERS.items():
+                assert render(records) == reference(records), (scenario.scenario_id, fmt)
 
 
 class TestRunCommand:

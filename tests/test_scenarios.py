@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
 import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucorr import nsbox as nsb
+from mucorr.cli import main
 from mucorr.counterfactual import report_for_option
 from mucorr.errors import ValidationError
 from mucorr.montecarlo import SampleConfig
 from mucorr.scenarios import (
+    KINDS,
     MAX_GRID_POINTS,
+    REMOTE_OPTION_NAMES,
+    SWEEP_PARAMETERS,
     ResultRow,
     Scenario,
     as_record,
@@ -18,6 +26,7 @@ from mucorr.scenarios import (
     load_scenario_file,
     run,
     sweep_rows,
+    _check_number,
     validate_scenario,
 )
 from mucorr.spin import Direction
@@ -35,6 +44,97 @@ def rows_by_quantity(rows: list[ResultRow]) -> dict[str, ResultRow]:
     indexed = {row.quantity: row for row in rows}
     assert len(indexed) == len(rows), "duplicate quantity names"
     return indexed
+
+
+# Arbitrary JSON, and scenario documents of each kind whose every field may
+# be wrong: a number out of range or not finite, a value of the wrong type, a
+# key the kind does not know, a grid of any size.
+NUMBERS = (
+    st.floats()
+    | st.integers()
+    | st.sampled_from([0, 1, -0.0, 0.25, 0.5, 0.75, 1.0, 45, 90.0, 135, 5e-324,
+                       1e-6, 1e-12, 1e308, -1e308, 1.7976931348623157e308,
+                       10**400, -(10**400)])
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+ANGLES = st.sampled_from([0, 90.0, 45, 135.0, -90, 180]) | NUMBERS
+BOXES = st.floats(0.0, 1.0).map(
+    lambda p: nsb.to_labeled_dict(nsb.make_isotropic(p))
+) | st.dictionaries(
+    st.sampled_from(list(nsb.to_labeled_dict(nsb.make_isotropic(1.0))))
+    | st.text(max_size=10),
+    NUMBERS, max_size=17,
+)
+GRID = st.sampled_from([0, 0.25, 0.5, 1.0, 1e-3, 1e-6]) | NUMBERS
+PARAMETERS = {
+    "chsh": st.builds(
+        lambda local, b, b_prime, extra: {
+            "a_degrees": local[0], "a_prime_degrees": local[1],
+            "b_degrees": b, "b_prime_degrees": b_prime, **extra,
+        },
+        st.sampled_from([(0, 90.0), (45, -45.0)]) | st.tuples(ANGLES, ANGLES),
+        ANGLES, ANGLES,
+        st.fixed_dictionaries({}, optional={
+            "remote_options": st.lists(st.sampled_from(REMOTE_OPTION_NAMES), max_size=4),
+            "annotation": st.text(max_size=8), "assume_ci": st.booleans(),
+        }),
+    ),
+    "counterfactual": st.fixed_dictionaries(
+        {"theta_degrees": ANGLES, "a_degrees": ANGLES, "a_prime_degrees": ANGLES},
+    ),
+    "nsbox": st.fixed_dictionaries({"isotropic_p": NUMBERS})
+    | st.fixed_dictionaries({"correlators": st.lists(NUMBERS, max_size=5)})
+    | st.fixed_dictionaries({"box": BOXES}),
+    "classical": st.fixed_dictionaries(
+        {"variant": st.sampled_from(["coin", "shapes"])},
+        optional={"red_given_cube": NUMBERS, "blue_given_sphere": NUMBERS},
+    ),
+    "sweep": st.fixed_dictionaries(
+        {"parameter": st.sampled_from(SWEEP_PARAMETERS),
+         "start": GRID, "stop": GRID, "step": GRID},
+        optional={"a_degrees": ANGLES, "a_prime_degrees": ANGLES},
+    ),
+}
+PARAMETER_NAMES = ["a_degrees", "box", "isotropic_p", "step", "variant", "x"]
+
+
+@st.composite
+def scenario_documents(draw):
+    """Mostly well-formed documents: one field in ten or so is wrong, missing
+    or not known."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 9)) == 9
+
+    kind = draw(st.sampled_from(KINDS))
+    document = {"id": draw(JSON_VALUES if rarely() else st.text(min_size=1, max_size=6))}
+    if not rarely():
+        document["kind"] = draw(JSON_VALUES) if rarely() else kind
+    parameters = draw(PARAMETERS[kind])
+    for key in list(parameters):
+        if rarely():
+            parameters[key] = draw(JSON_VALUES)
+        elif rarely():
+            del parameters[key]
+    if rarely():
+        parameters[draw(st.sampled_from(PARAMETER_NAMES) | st.text(max_size=6))] = (
+            draw(NUMBERS | JSON_VALUES)
+        )
+    document["parameters"] = draw(JSON_VALUES) if rarely() else parameters
+    if draw(st.booleans()):
+        mc = st.integers(1, 10**7) | st.integers(-2, 2**64) | NUMBERS
+        document["mc"] = draw(JSON_VALUES) if rarely() else draw(
+            st.fixed_dictionaries({}, optional={"n_samples": mc, "seed": mc})
+        )
+    if rarely():
+        document["notes"] = draw(st.lists(st.text(max_size=6)) | JSON_VALUES)
+    if rarely():
+        document[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    return document
 
 
 class TestBuiltins:
@@ -301,6 +401,23 @@ class TestValidation:
             f"parameters.isotropic_p must be a finite number, got {10**400!r}"
         ]
 
+    def test_lower_bound_alone_is_named_alone(self):
+        problems = []
+        assert _check_number({"x": -0.5}, "x", problems, low=0.0) is None
+        assert problems == ["parameters.x must be >= 0, got -0.5"]
+        assert _check_number({"x": 1e300}, "x", problems, low=0.0) == 1e300
+        assert len(problems) == 1
+
+    def test_upper_bound_alone_is_named_alone(self):
+        problems = []
+        assert _check_number({"x": 2}, "x", problems, high=1.5) is None
+        assert problems == ["parameters.x must be <= 1.5, got 2"]
+        assert _check_number({"x": -1e300}, "x", problems, high=1.5) == -1e300
+        assert len(problems) == 1
+        # Both bounds keep their message.
+        assert _check_number({"x": 2}, "x", problems, low=0.0, high=1.0) is None
+        assert problems[1] == "parameters.x must lie in [0, 1], got 2"
+
     def test_classical_variant_and_rates(self):
         problems = validate_scenario(self.mk("classical", {"variant": "dice"}))
         assert any("variant" in p for p in problems)
@@ -484,6 +601,28 @@ class TestScenarioFiles:
                 assert scenario == catalog[scenario.scenario_id]
                 checked += 1
         assert checked == len(MANDATED_IDS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=scenario_documents() | JSON_VALUES)
+    def test_any_document_is_a_scenario_or_named_problems(
+        self, tmp_path_factory, document
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(json.dumps(document))
+        try:
+            load_scenario_file(str(path))
+        except ValidationError as exc:
+            assert exc.messages
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+        assert code in (0, 1)
+        if code == 0:
+            assert out.getvalue().startswith("ok: ") and err.getvalue() == ""
+        else:
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith("error: ") for line in lines)
+            assert "Traceback" not in err.getvalue()
 
 
 class TestSweeps:
