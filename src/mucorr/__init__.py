@@ -4,6 +4,8 @@ outcomes, for spin pairs and generalized no-signalling boxes.
 Analytic results come from closed forms; every sampled quantity can be
 cross-checked by a seeded Monte Carlo estimate.
 """
+from types import ModuleType as _ModuleType
+
 from .counterfactual import (
     CounterfactualReport,
     NonlocalityVerdict,
@@ -83,69 +85,8 @@ from .spin import (
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "BoxClass",
-    "BoxClassification",
-    "CLASSICAL_BOUND",
-    "ChshClass",
-    "CounterfactualReport",
-    "DegenerateSequenceError",
-    "Direction",
-    "DomainError",
-    "EmpiricalEstimate",
-    "LengthMismatchError",
-    "NonlocalityVerdict",
-    "NotOrthogonalError",
-    "NsBox",
-    "ResultRow",
-    "SampleConfig",
-    "Scenario",
-    "SettingsQuad",
-    "TSIRELSON_BOUND",
-    "ValidationError",
-    "binary_entropy",
-    "builtin_scenarios",
-    "chsh_e_form",
-    "chsh_s",
-    "chsh_s_e",
-    "chsh_s_ns",
-    "ci_product",
-    "classify_box",
-    "classify_chsh",
-    "correlation",
-    "correlator",
-    "estimate_ci_correlation",
-    "estimate_coin_correlation",
-    "estimate_ns_pair",
-    "estimate_pair_correlation",
-    "estimate_shapes_correlation",
-    "from_correlators",
-    "from_labeled_dict",
-    "info_leakage",
-    "info_scan",
-    "isotropic_parameter",
-    "load_scenario_file",
-    "make_isotropic",
-    "match_probability",
-    "max_info_direction",
-    "modified_settings_55_35",
-    "nonlocality_verdict",
-    "overlap_lower_bound",
-    "pearson_pm1",
-    "pr_box",
-    "report_for_option",
-    "rho_ci_general_direction",
-    "rho_ci_ns",
-    "rho_conditional_independence",
-    "rho_min_ns",
-    "rho_min_quantum",
-    "run",
-    "shapes_rho",
-    "standard_chsh_settings",
-    "substream",
-    "sweep_rows",
-    "target_probability",
-    "to_labeled_dict",
-    "validate_no_signalling",
-    "validate_scenario",
-]
+# Every public name imported above, and nothing else.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

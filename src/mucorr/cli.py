@@ -16,17 +16,19 @@ import os
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .errors import DegenerateSequenceError, ValidationError
 from .montecarlo import SampleConfig
 from .scenarios import (
     SWEEP_PARAMETERS,
+    ColumnBlocks,
     Scenario,
     as_record,
     builtin_scenarios,
     load_scenario_file,
     run,
-    sweep_rows,
+    sweep_columns,
 )
 
 FORMATS = ("table", "csv", "json")
@@ -126,55 +128,61 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-#: Rows that CSV and JSON format at a time, so that beside the text they hold
-#: the cells of one block, not of every record.
+#: Records that emit renders at a time, and table lines that it writes at a
+#: time, so that beside the text it holds the cells of one block of records.
 _BLOCK_ROWS = 4096
 
 _float_cell = "{:.12g}".format
 
 
-def _cell_column(records: list[dict], header) -> tuple[list[str], set[type]]:
-    """A header's cells over the records, as `_fmt_cell` gives them, fetched
-    and formatted in one pass, with the set of the values' types."""
-    values = [rec.get(header) for rec in records]
+def _cell_column(values: list) -> tuple[list[str], set[type]]:
+    """The values as `_fmt_cell` gives them, with the set of their types."""
     types = set(map(type, values))
     return list(map(_float_cell if types == {float} else _fmt_cell, values)), types
 
 
-def _render_table(records: list[dict]) -> str:
-    headers = list(records[0].keys())
-    if not headers:
-        return "\n" * (len(records) + 2)
-    columns, widths, aligns = [], [], []
-    for header in headers:
-        cells, types = _cell_column(records, header)
-        columns.append(cells)
-        widths.append(max(len(header), max(map(len, cells))))
-        numeric = all(t is type(None) or issubclass(t, (int, float)) for t in types)
-        aligns.append(">" if numeric else "<")
+def _write_table(stream, headers: list, blocks) -> None:
+    """Two passes: the widths, then the lines. Between them it keeps the
+    formatted cells of every block."""
+    columns = [[] for _ in headers]
+    kinds = [set() for _ in headers]
+    for block in blocks:
+        for cells, types, values in zip(columns, kinds, block):
+            text, seen = _cell_column(values)
+            cells.extend(text)
+            types |= seen
+    widths = [max(len(header), max(map(len, cells))) for header, cells in zip(headers, columns)]
+    aligns = [
+        ">" if all(t is type(None) or issubclass(t, (int, float)) for t in types) else "<"
+        for types in kinds
+    ]
     # One format string pads a whole row: numbers right, text left.
     row = "  ".join(f"{{:{align}{width}}}" for align, width in zip(aligns, widths))
-    lines = [
-        row.format(*headers).rstrip(),
-        row.format(*["-" * width for width in widths]).rstrip(),
-    ]
-    lines.extend(map(str.rstrip, map(row.format, *columns)))
-    lines.append("")  # the text ends in a newline
-    return "\n".join(lines)
+    stream.write(row.format(*headers).rstrip() + "\n")
+    stream.write(row.format(*["-" * width for width in widths]).rstrip() + "\n")
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = [column[start:start + _BLOCK_ROWS] for column in columns]
+        stream.write("".join(line.rstrip() + "\n" for line in map(row.format, *cells)))
 
 
-def _render_csv(records: list[dict]) -> str:
-    headers = list(records[0].keys())
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(stream, headers: list, blocks) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(headers)
-    for start in range(0, len(records), _BLOCK_ROWS):
-        block = records[start:start + _BLOCK_ROWS]
-        if headers:
-            writer.writerows(zip(*(_cell_column(block, h)[0] for h in headers)))
+    for block in blocks:
+        columns = list(map(_cell_column, block))
+        rows = zip(*(cells for cells, _ in columns))
+        # '.12g' floats never need quoting. When no other cell does either,
+        # and no row is one lone field (csv writes a lone empty one as '""'),
+        # each line is its cells joined by commas.
+        text = {cell for cells, types in columns if types != {float} for cell in cells}
+        if len(headers) > 1 and _CSV_LINE.writerow(list(text)) == ",".join(text) + "\n":
+            stream.write("\n".join(map(",".join, rows)) + "\n")
         else:
-            writer.writerows([()] * len(block))
-    return buffer.getvalue()
+            writer.writerows(rows)
+
+
+#: A csv writer whose `writerow` returns the line it would write.
+_CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -206,64 +214,95 @@ def _json_column(values: list) -> list[str] | None:
     return [_JSON_SCALARS[type(value)](value) for value in values]
 
 
-def _json_records(block: list[dict]) -> list[str]:
-    """Each record as `json.dumps(records, indent=2)` lays it out in the
-    array: a column at a time while the records share their keys and hold
-    plain scalars, else record by record, and `json.dumps` for a record
-    that holds anything else."""
-    keys = list(block[0])
-    if keys and all(map(keys.__eq__, map(list, block))) and all(
+def _json_record(record: dict) -> str:
+    """The record as `json.dumps(records, indent=2)` lays it out in the array."""
+    return "  " + json.dumps(record, indent=2).replace("\n", "\n  ")
+
+
+def _json_block(keys: list[str], block: list[list]) -> list[str]:
+    """Each row of a block under its (non-empty, str) keys, as `_json_record`
+    gives it: a column at a time while the values are plain scalars."""
+    columns = list(map(_json_column, block))
+    if None in columns:
+        return [_json_record(dict(zip(keys, row))) for row in zip(*block)]
+    record = ",\n    ".join(
+        encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}"
+        for key in keys
+    )
+    return list(map(("  {{\n    " + record + "\n  }}").format, *columns))
+
+
+def _json_records(records: list[dict]) -> list[str]:
+    """`_json_record` of each record: by `_json_block` when they share their
+    str keys, else record by record."""
+    keys = list(records[0])
+    if keys and all(map(keys.__eq__, map(list, records))) and all(
         type(key) is str for key in keys
     ):
-        columns = [_json_column([rec[key] for rec in block]) for key in keys]
-        if None not in columns:
-            record = ",\n    ".join(
-                encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}")
-                + ": {}"
-                for key in keys
-            )
-            return list(map(("  {{\n    " + record + "\n  }}").format, *columns))
-    if len(block) > 1:
-        return [text for rec in block for text in _json_records([rec])]
-    return ["  " + json.dumps(block[0], indent=2).replace("\n", "\n  ")]
+        return _json_block(keys, [[rec[key] for rec in records] for key in keys])
+    return list(map(_json_record, records))
 
 
-def _render_json(records: list[dict]) -> str:
-    parts = ["[\n"]
-    for start in range(0, len(records), _BLOCK_ROWS):
-        parts.append(",\n".join(_json_records(records[start:start + _BLOCK_ROWS])))
-        parts.append(",\n")
-    parts[-1] = "\n]\n"
-    return "".join(parts)
+def _write_json(stream, texts) -> None:
+    """Write a JSON array whose elements come as a list of texts per block."""
+    opener = "[\n"
+    for block in texts:
+        stream.write(opener + ",\n".join(block))
+        opener = ",\n"
+    stream.write("\n]\n")
 
 
-def emit(records: list[dict], format: str = "table", out: str | None = None) -> None:
+def _write(stream, records: list[dict] | ColumnBlocks, format: str) -> None:
+    """Render and write records, or a ColumnBlocks, one block at a time."""
+    if isinstance(records, ColumnBlocks):
+        headers, blocks = records
+        texts = map(functools.partial(_json_block, headers), blocks)
+    else:
+        headers = list(records[0])
+        chunks = [records[i:i + _BLOCK_ROWS] for i in range(0, len(records), _BLOCK_ROWS)]
+        blocks = ([[rec.get(h) for rec in chunk] for h in headers] for chunk in chunks)
+        texts = map(_json_records, chunks)
+    if format == "json":
+        _write_json(stream, texts)
+    elif not headers:
+        # No column counts the records: each is a blank line under blank headers.
+        stream.write("\n" * (len(records) + (2 if format == "table" else 1)))
+    else:
+        (_write_table if format == "table" else _write_csv)(stream, headers, blocks)
+
+
+def _render(format: str, records: list[dict]) -> str:
+    """The text `emit` writes for records."""
+    buffer = io.StringIO()
+    _write(buffer, records, format)
+    return buffer.getvalue()
+
+
+_render_table, _render_csv, _render_json = (
+    functools.partial(_render, format) for format in FORMATS
+)
+
+
+def emit(
+    records: list[dict] | ColumnBlocks, format: str = "table", out: str | None = None,
+) -> None:
     """Render records in one of the three formats, to stdout or a file.
 
     CSV uses a comma separator, '.' decimal point, a header row, and 12
     significant digits; JSON is an array of objects with stable keys and
-    full-precision numbers; the table is aligned for reading.
+    full-precision numbers; the table is aligned for reading. A sweep's
+    ColumnBlocks (see `sweep_columns`) is evaluated, rendered and written a
+    block at a time, so a failure part way leaves partial output behind.
     """
     if not records:
         raise ValidationError("nothing to emit: no result rows")
     if format not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {format!r}")
-    renderer = {
-        "table": _render_table, "csv": _render_csv, "json": _render_json,
-    }[format]
-    text = renderer(records)
     if out is None:
-        _write_in_slices(sys.stdout, text)
+        _write(sys.stdout, records, format)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            _write_in_slices(handle, text)
-
-
-def _write_in_slices(stream, text: str) -> None:
-    """Write text 2^20 characters at a time: a text stream encodes each write
-    whole, so one write of a large output would hold a second, encoded copy."""
-    for start in range(0, len(text), 1 << 20):
-        stream.write(text[start:start + (1 << 20)])
+            _write(handle, records, format)
 
 
 def _resolve_scenario(reference: str) -> Scenario:
@@ -295,7 +334,7 @@ def _apply_mc_flags(scenario: Scenario, args: argparse.Namespace) -> Scenario:
 def _cmd_run(args: argparse.Namespace) -> None:
     scenario = _apply_mc_flags(_resolve_scenario(args.scenario), args)
     if scenario.kind == "sweep":
-        records = sweep_rows(scenario)
+        records = sweep_columns(scenario)
     else:
         records = [as_record(row) for row in run(scenario)]
     emit(records, args.format, args.out)
@@ -315,7 +354,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     scenario = Scenario(
         scenario_id=f"sweep-{args.parameter}", kind="sweep", parameters=parameters,
     )
-    emit(sweep_rows(scenario), args.format, args.out)
+    emit(sweep_columns(scenario), args.format, args.out)
 
 
 def _cmd_list(args: argparse.Namespace) -> None:

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ REMOTE_OPTION_NAMES = ("none", "b", "b_prime")
 SWEEP_PARAMETERS = ("theta_degrees", "isotropic_p")
 #: Most points one sweep may evaluate.
 MAX_GRID_POINTS = 1_000_000
-#: Grid points per block of a whole-grid isotropic sweep, which bounds its arrays.
+#: Grid points per block of a sweep, which bounds the memory it holds.
 _SWEEP_BLOCK = 4096
 
 # Fixed substream indices: the four setting pairs of a CHSH quad or box
@@ -677,7 +678,7 @@ def _run_classical(scenario: Scenario) -> list[ResultRow]:
     return [ResultRow(sid, "rho", mc.shapes_rho(rc, bs), mc_value, mc_se)]
 
 
-#: Each scenario kind's (validator, runner); a sweep runs through sweep_rows.
+#: Each scenario kind's (validator, runner); a sweep runs through sweep_columns.
 _KINDS = {
     "chsh": (_validate_chsh, _run_chsh),
     "counterfactual": (_validate_counterfactual, _run_counterfactual),
@@ -692,7 +693,7 @@ def run(scenario: Scenario) -> list[ResultRow]:
     """Execute one non-sweep scenario, returning its result rows.
 
     Raises ValidationError (with one message per field problem) for
-    malformed scenarios; sweep scenarios go through :func:`sweep_rows`.
+    malformed scenarios; sweep scenarios go through :func:`sweep_columns`.
     """
     problems = validate_scenario(scenario)
     if problems:
@@ -721,43 +722,52 @@ def _grid_steps(start: float, stop: float, step: float) -> int:
     return int(math.floor((stop - start) / step + 1e-9))
 
 
-def sweep_rows(scenario: Scenario) -> list[dict]:
-    """Execute a sweep scenario: one record per grid point, analytic only."""
+class ColumnBlocks(NamedTuple):
+    """Headers, then blocks of rows, each block one list per column."""
+
+    headers: list[str]
+    blocks: Iterator[list[list]]
+
+
+def sweep_columns(scenario: Scenario) -> ColumnBlocks:
+    """Execute a sweep scenario, analytic only: validated now, evaluated
+    _SWEEP_BLOCK grid points at a time as its blocks are read."""
     problems = validate_scenario(scenario)
     if problems:
         raise ValidationError(problems)
     if scenario.kind != "sweep":
         raise ValidationError(f"expected a sweep scenario, got kind {scenario.kind!r}")
-    params = scenario.parameters
-    parameter = params["parameter"]
-    start = float(params["start"])
-    stop = float(params["stop"])
-    step = float(params["step"])
-    sid = scenario.scenario_id
-    records: list[dict] = []
-    if parameter == "theta_degrees":
-        a = Direction.from_degrees(float(params.get("a_degrees", 0.0)))
-        a_prime = Direction.from_degrees(float(params.get("a_prime_degrees", 90.0)))
-        for theta_deg in grid_points(start, stop, step):
-            rho_ci = rho_conditional_independence(Direction.from_degrees(theta_deg), a, a_prime)
-            records.append({
-                "scenario": sid,
-                "theta_degrees": theta_deg,
-                "rho_ci": rho_ci,
-                "info_bits": info_leakage(0.5 * (1.0 + rho_ci)),
-            })
+    if scenario.parameters["parameter"] == "theta_degrees":
+        headers = ["scenario", "theta_degrees", "rho_ci", "info_bits"]
     else:
-        grid = np.clip(grid_points(start, stop, step), 0.0, 1.0)
-        for block in np.split(grid, range(_SWEEP_BLOCK, grid.size, _SWEEP_BLOCK)):
-            columns = [column.tolist() for column in (block, *nsb.isotropic_sweep(block))]
-            for p, s_ns, s_e, rho_min in zip(*columns):
-                records.append({
-                    "scenario": sid,
-                    "isotropic_p": p,
-                    "s_ns": s_ns,
-                    "s_e": s_e,
-                    # The floored rows (p <= 1/2) share one -1.0: 24 bytes less a row.
-                    "rho_min": -1.0 if rho_min == -1.0 else rho_min,
-                    "rho_ci": nsb.rho_ci_ns(p),
-                })
-    return records
+        headers = ["scenario", "isotropic_p", "s_ns", "s_e", "rho_min", "rho_ci"]
+    return ColumnBlocks(headers, _sweep_blocks(scenario.scenario_id, scenario.parameters))
+
+
+def _sweep_blocks(sid: str, params: dict) -> Iterator[list[list]]:
+    start, step = float(params["start"]), float(params["step"])
+    size = _grid_steps(start, float(params["stop"]), step) + 1
+    a = Direction.from_degrees(float(params.get("a_degrees", 0.0)))
+    a_prime = Direction.from_degrees(float(params.get("a_prime_degrees", 90.0)))
+    for lo in range(0, size, _SWEEP_BLOCK):
+        # These points of grid_points(start, stop, step), bit for bit.
+        grid = start + np.arange(lo, min(lo + _SWEEP_BLOCK, size)) * step
+        if params["parameter"] == "theta_degrees":
+            thetas = grid.tolist()
+            rho_ci = [
+                rho_conditional_independence(Direction.from_degrees(theta), a, a_prime)
+                for theta in thetas
+            ]
+            columns = [thetas, rho_ci, [info_leakage(0.5 * (1.0 + r)) for r in rho_ci]]
+        else:
+            p = np.clip(grid, 0.0, 1.0)
+            columns = [column.tolist() for column in (p, *nsb.isotropic_sweep(p))]
+            # rho_ci_ns(p) without its domain check, which the clip makes moot.
+            columns.append([(2.0 * q - 1.0) ** 2 for q in columns[0]])
+        yield [[sid] * grid.size, *columns]
+
+
+def sweep_rows(scenario: Scenario) -> list[dict]:
+    """Execute a sweep scenario: one record per grid point, analytic only."""
+    headers, blocks = sweep_columns(scenario)
+    return [dict(zip(headers, row)) for block in blocks for row in zip(*block)]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucorr import cli
-from mucorr.cli import main
+from mucorr.cli import FORMATS, main
 from mucorr.scenarios import Scenario, as_record, builtin_scenarios, run, sweep_rows
 
 
@@ -224,7 +224,7 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "run", "paper-shapes", "--format", "csv")
         assert code == 0
         assert target.read_text() == out
-        # An output of several 2^20-character slices, both ways.
+        # An output of several blocks, both ways.
         sweep = ["sweep", "--parameter", "theta_degrees", "--start", "0",
                  "--stop", "360", "--step", "0.01", "--format", "json"]
         assert run_cli(capsys, *sweep, "--out", str(target))[:2] == (0, "")
@@ -348,6 +348,108 @@ class TestSweepCommand:
             assert out == ""
             assert "error:" in err and needle in err
             assert "Error:" not in err  # no exception type: a named problem
+
+
+def sweep_grid(parameter: str, points: int) -> dict:
+    """Sweep parameters for a grid of exactly `points` points."""
+    if parameter == "isotropic_p":
+        grid = {"start": 0.125, "step": 0.75 / (points - 1)}
+    else:
+        grid = {"start": -30.5, "step": 0.0625, "a_degrees": 12.5, "a_prime_degrees": -71.0}
+    grid["stop"] = grid["start"] + (points - 1) * grid["step"]
+    return {"parameter": parameter, **grid}
+
+
+def sweep_argv(grid: dict) -> list[str]:
+    """The sweep command for the parameters of `sweep_grid`."""
+    return ["sweep"] + [
+        f"--{key.replace('_', '-')}={value!r}" if key != "parameter" else f"--parameter={value}"
+        for key, value in grid.items()
+    ]
+
+
+#: Runs the command in its argv in a child and prints the child's exit code
+#: and peak resident set (ru_maxrss: kB on Linux).
+PEAK_RSS = (
+    "import resource, subprocess, sys; code = subprocess.run(sys.argv[1:]).returncode; "
+    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
+class TestStreamedSweeps:
+    """Sweeps are evaluated, rendered and written a block of grid points at
+    a time; the bytes stay those of the reference renderers."""
+
+    @pytest.mark.parametrize("parameter, points", [
+        ("isotropic_p", 4095), ("theta_degrees", 4096),
+        ("isotropic_p", 4097), ("theta_degrees", 4097), ("isotropic_p", 8193),
+    ])
+    def test_output_equals_the_references(self, capsys, tmp_path, parameter, points):
+        grid = sweep_grid(parameter, points)
+        argv = sweep_argv(grid)
+        records = sweep_rows(Scenario(f"sweep-{parameter}", "sweep", grid))
+        assert len(records) == points
+        target = tmp_path / "sweep.out"
+        for fmt, (_, reference) in RENDERERS.items():
+            want = reference(records)
+            assert run_cli(capsys, *argv, "--format", fmt) == (0, want, ""), fmt
+            assert run_cli(capsys, *argv, "--format", fmt, "--out", str(target)) == (0, "", "")
+            assert target.read_text(encoding="utf-8") == want, fmt
+
+    def test_sweep_scenario_file_through_run(self, capsys, tmp_path):
+        grid = sweep_grid("theta_degrees", 4097)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"id": "theta-file", "kind": "sweep", "parameters": grid}))
+        records = sweep_rows(Scenario("theta-file", "sweep", grid))
+        assert len(records) == 4097
+        for fmt, (_, reference) in RENDERERS.items():
+            assert run_cli(capsys, "run", str(path), "--format", fmt) == (
+                0, reference(records), "",
+            ), fmt
+
+    def test_invalid_grid_writes_nothing(self, capsys, tmp_path):
+        target = tmp_path / "sweep.out"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"id": "bad", "kind": "sweep", "parameters": {
+            "parameter": "isotropic_p", "start": 0.0, "stop": 1.0, "step": 1e-12,
+        }}))
+        for argv in (
+            ["sweep", "--parameter", "isotropic_p", "--start", "0", "--stop", "1",
+             "--step", "1e-12"],
+            ["sweep", "--parameter", "theta_degrees", "--start", "0", "--stop", "-1",
+             "--step", "1"],
+            ["run", str(path)],
+        ):
+            for fmt in FORMATS:
+                for out in ([], ["--out", str(target)]):
+                    code, stdout, err = run_cli(capsys, *argv, "--format", fmt, *out)
+                    assert (code, stdout) == (1, ""), (argv, fmt)
+                    assert err.startswith("error: parameters.")
+                    assert not target.exists()
+
+    def test_unwritable_out_is_runtime_error(self, capsys, tmp_path):
+        for fmt in FORMATS:
+            code, out, err = run_cli(
+                capsys, *sweep_argv(sweep_grid("isotropic_p", 11)), "--format", fmt,
+                "--out", str(tmp_path),
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path, fmt):
+        # 300,001 points: a list of records would peak at about 200 MB here.
+        target = tmp_path / f"sweep.{fmt}"
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "mucorr",
+             "sweep", "--parameter", "isotropic_p", "--start", "0", "--stop", "1",
+             "--step", repr(1 / 300_000), "--format", fmt, "--out", str(target)],
+            capture_output=True, text=True, timeout=120,
+        )
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        assert target.read_text().count("sweep-isotropic_p") == 300_001
+        assert peak_kb < 80 * 1024
 
 
 class TestListAndValidate:
