@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
-import json
 import os
 import sys
 from dataclasses import replace
@@ -128,8 +126,7 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-#: Records that emit renders at a time, and table lines that it writes at a
-#: time, so that beside the text it holds the cells of one block of records.
+#: Table lines that emit writes at a time.
 _BLOCK_ROWS = 4096
 
 _float_cell = "{:.12g}".format
@@ -152,12 +149,10 @@ def _write_table(stream, headers: list, blocks) -> None:
             cells.extend(text)
             types |= seen
     widths = [max(len(header), max(map(len, cells))) for header, cells in zip(headers, columns)]
-    aligns = [
-        ">" if all(t is type(None) or issubclass(t, (int, float)) for t in types) else "<"
-        for types in kinds
-    ]
     # One format string pads a whole row: numbers right, text left.
-    row = "  ".join(f"{{:{align}{width}}}" for align, width in zip(aligns, widths))
+    row = "  ".join(
+        f"{{:{'<' if str in types else '>'}{width}}}" for types, width in zip(kinds, widths)
+    )
     stream.write(row.format(*headers).rstrip() + "\n")
     stream.write(row.format(*["-" * width for width in widths]).rstrip() + "\n")
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
@@ -193,116 +188,59 @@ def _json_float(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-#: How `json` writes each scalar type it is given exactly (not a subclass).
+#: How `json` writes each type of cell.
 _JSON_SCALARS = {
     str: encode_basestring_ascii,
-    int: int.__repr__,
     float: _json_float,
-    bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda value: "null",
 }
 
 
-def _json_column(values: list) -> list[str] | None:
-    """The values as JSON, or None if one of them is not a plain scalar."""
-    types = set(map(type, values))
-    if types == {float}:
+def _json_column(values: list) -> list[str]:
+    """The values as `json` writes them."""
+    if set(map(type, values)) == {float}:
         texts = list(map(float.__repr__, values))
         return list(map(_NON_FINITE.get, texts, texts))
-    if not types <= _JSON_SCALARS.keys():
-        return None
     return [_JSON_SCALARS[type(value)](value) for value in values]
 
 
-def _json_record(record: dict) -> str:
-    """The record as `json.dumps(records, indent=2)` lays it out in the array."""
-    return "  " + json.dumps(record, indent=2).replace("\n", "\n  ")
-
-
-def _json_block(keys: list[str], block: list[list]) -> list[str]:
-    """Each row of a block under its (non-empty, str) keys, as `_json_record`
-    gives it: a column at a time while the values are plain scalars."""
-    columns = list(map(_json_column, block))
-    if None in columns:
-        return [_json_record(dict(zip(keys, row))) for row in zip(*block)]
-    record = ",\n    ".join(
+def _write_json(stream, headers: list, blocks) -> None:
+    """An array of one object per row, laid out as `json.dumps(rows,
+    indent=2)` lays it out, a block at a time."""
+    keys = ",\n    ".join(
         encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}"
-        for key in keys
+        for key in headers
     )
-    return list(map(("  {{\n    " + record + "\n  }}").format, *columns))
-
-
-def _json_records(records: list[dict]) -> list[str]:
-    """`_json_record` of each record: by `_json_block` when they share their
-    str keys, else record by record."""
-    keys = list(records[0])
-    if keys and all(map(keys.__eq__, map(list, records))) and all(
-        type(key) is str for key in keys
-    ):
-        return _json_block(keys, [[rec[key] for rec in records] for key in keys])
-    return list(map(_json_record, records))
-
-
-def _write_json(stream, texts) -> None:
-    """Write a JSON array whose elements come as a list of texts per block."""
+    row = ("  {{\n    " + keys + "\n  }}").format
     opener = "[\n"
-    for block in texts:
-        stream.write(opener + ",\n".join(block))
+    for block in blocks:
+        stream.write(opener + ",\n".join(map(row, *map(_json_column, block))))
         opener = ",\n"
     stream.write("\n]\n")
 
 
-def _write(stream, records: list[dict] | ColumnBlocks, format: str) -> None:
-    """Render and write records, or a ColumnBlocks, one block at a time."""
-    if isinstance(records, ColumnBlocks):
-        headers, blocks = records
-        texts = map(functools.partial(_json_block, headers), blocks)
-    else:
-        headers = list(records[0])
-        chunks = [records[i:i + _BLOCK_ROWS] for i in range(0, len(records), _BLOCK_ROWS)]
-        blocks = ([[rec.get(h) for rec in chunk] for h in headers] for chunk in chunks)
-        texts = map(_json_records, chunks)
-    if format == "json":
-        _write_json(stream, texts)
-    elif not headers:
-        # No column counts the records: each is a blank line under blank headers.
-        stream.write("\n" * (len(records) + (2 if format == "table" else 1)))
-    else:
-        (_write_table if format == "table" else _write_csv)(stream, headers, blocks)
+_WRITERS = {"table": _write_table, "csv": _write_csv, "json": _write_json}
 
 
-def _render(format: str, records: list[dict]) -> str:
-    """The text `emit` writes for records."""
-    buffer = io.StringIO()
-    _write(buffer, records, format)
-    return buffer.getvalue()
+def emit(columns: ColumnBlocks, format: str = "table", out: str | None = None) -> None:
+    """Render headers and column blocks in one of the three formats, to
+    stdout or a file.
 
-
-_render_table, _render_csv, _render_json = (
-    functools.partial(_render, format) for format in FORMATS
-)
-
-
-def emit(
-    records: list[dict] | ColumnBlocks, format: str = "table", out: str | None = None,
-) -> None:
-    """Render records in one of the three formats, to stdout or a file.
-
-    CSV uses a comma separator, '.' decimal point, a header row, and 12
-    significant digits; JSON is an array of objects with stable keys and
-    full-precision numbers; the table is aligned for reading. A sweep's
-    ColumnBlocks (see `sweep_columns`) is evaluated, rendered and written a
-    block at a time, so a failure part way leaves partial output behind.
+    Every cell is a str, a float or None. CSV uses a comma separator, '.'
+    decimal point, a header row, and 12 significant digits; JSON is an
+    array of objects with stable keys and full-precision numbers; the table
+    is aligned for reading. The blocks are read, rendered and written one
+    at a time, so a lazy source (see `sweep_columns`) that fails part way
+    leaves partial output behind.
     """
-    if not records:
-        raise ValidationError("nothing to emit: no result rows")
-    if format not in FORMATS:
+    write = _WRITERS.get(format)
+    if write is None:
         raise ValidationError(f"format must be one of {FORMATS}, got {format!r}")
     if out is None:
-        _write(sys.stdout, records, format)
+        write(sys.stdout, *columns)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            _write(handle, records, format)
+            write(handle, *columns)
 
 
 def _resolve_scenario(reference: str) -> Scenario:
@@ -331,13 +269,20 @@ def _apply_mc_flags(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return replace(scenario, mc=cfg)
 
 
+def _one_block(records: list[dict]) -> ColumnBlocks:
+    """Records that share their keys, as one block under those keys."""
+    headers = list(records[0])
+    return ColumnBlocks(headers, [[[record[key] for record in records] for key in headers]])
+
+
 def _cmd_run(args: argparse.Namespace) -> None:
     scenario = _apply_mc_flags(_resolve_scenario(args.scenario), args)
     if scenario.kind == "sweep":
-        records = sweep_columns(scenario)
+        columns = sweep_columns(scenario)
     else:
-        records = [as_record(row) for row in run(scenario)]
-    emit(records, args.format, args.out)
+        # Evaluated here, before emit opens --out, so a failed run writes nothing.
+        columns = _one_block(list(map(as_record, run(scenario))))
+    emit(columns, args.format, args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
@@ -366,7 +311,7 @@ def _cmd_list(args: argparse.Namespace) -> None:
         }
         for s in builtin_scenarios().values()
     ]
-    emit(records, args.format, args.out)
+    emit(_one_block(records), args.format, args.out)
 
 
 def _cmd_validate(args: argparse.Namespace) -> None:

@@ -23,6 +23,7 @@ import numpy as np
 from . import montecarlo as mc
 from . import nsbox as nsb
 from .counterfactual import (
+    ORTHOGONALITY_TOL,
     info_leakage,
     max_info_direction,
     nonlocality_verdict,
@@ -202,7 +203,7 @@ def _validate_chsh(params: dict, problems: list[str]) -> None:
     _check_number(params, "b_prime_degrees", problems)
     if a is not None and a_prime is not None:
         d = dot(Direction.from_degrees(a), Direction.from_degrees(a_prime))
-        if abs(d) > 1e-12:
+        if abs(d) > ORTHOGONALITY_TOL:
             problems.append(
                 "parameters.a_degrees and parameters.a_prime_degrees must be "
                 f"orthogonal directions, got dot product {d!r}"
@@ -361,6 +362,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if scenario.kind not in KINDS:
         problems.append(f"kind must be one of {KINDS}, got {scenario.kind!r}")
         return problems
+    if scenario.kind == "sweep" and scenario.mc is not None:
+        problems.append(
+            "sweeps are analytic only: Monte Carlo (an mc block, --mc, --samples "
+            "or --seed) does not apply"
+        )
     if not isinstance(scenario.parameters, dict):
         problems.append("parameters must be a mapping")
         return problems
@@ -396,10 +402,6 @@ def load_scenario_file(path: str) -> Scenario:
     if not isinstance(scenario_id, str) or not scenario_id:
         problems.append("id must be a non-empty string")
         scenario_id = "<invalid>"
-    kind = data.get("kind")
-    if not isinstance(kind, str):
-        problems.append("kind must be a string")
-        kind = "<invalid>"
     parameters = data.get("parameters", {})
     if not isinstance(parameters, dict):
         problems.append("parameters must be an object")
@@ -426,7 +428,7 @@ def load_scenario_file(path: str) -> Scenario:
         notes = []
     scenario = Scenario(
         scenario_id=scenario_id,
-        kind=kind,
+        kind=data.get("kind"),
         parameters=parameters,
         mc=sample_config,
         notes=tuple(notes),
@@ -510,8 +512,12 @@ def _run_chsh(scenario: Scenario) -> list[ResultRow]:
     option_dirs: list[Direction | None] = [
         {"none": None, "b": b, "b_prime": b_prime}[name] for name in option_names
     ]
-    for position, (name, theta) in enumerate(zip(option_names, option_dirs)):
-        report = report_for_option(theta, a, a_prime)
+    verdict = nonlocality_verdict(
+        a, a_prime, option_dirs, assume_conditional_independence=assume_ci
+    )
+    for position, (name, theta, report) in enumerate(
+        zip(option_names, option_dirs, verdict.reports)
+    ):
         tag = "no_remote" if theta is None else f"theta={_fmt_angle(theta.degrees)}"
         ci_est = None
         if cfg is not None and theta is not None:
@@ -541,9 +547,6 @@ def _run_chsh(scenario: Scenario) -> list[ResultRow]:
     ))
     rows.append(ResultRow(sid, "max_info_bits", best_bits))
 
-    verdict = nonlocality_verdict(
-        a, a_prime, option_dirs, assume_conditional_independence=assume_ci
-    )
     for name, value in (
         ("verdict_rho_min_route", verdict.rho_min_route),
         ("verdict_ci_route", verdict.ci_route),

@@ -1,19 +1,31 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucorr import cli
 from mucorr.cli import FORMATS, main
-from mucorr.scenarios import Scenario, as_record, builtin_scenarios, run, sweep_rows
+from mucorr.montecarlo import SampleConfig
+from mucorr.scenarios import (
+    KINDS,
+    ColumnBlocks,
+    Scenario,
+    as_record,
+    builtin_scenarios,
+    run,
+    sweep_columns,
+    sweep_rows,
+)
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -76,11 +88,23 @@ def reference_json(records: list[dict]) -> str:
     return json.dumps(records, indent=2) + "\n"
 
 
-RENDERERS = {
-    "table": (cli._render_table, reference_table),
-    "csv": (cli._render_csv, reference_csv),
-    "json": (cli._render_json, reference_json),
-}
+REFERENCES = {"table": reference_table, "csv": reference_csv, "json": reference_json}
+
+
+def emitted(fmt: str, headers: list, blocks: list) -> str:
+    """What `emit` writes to stdout for the headers and column blocks."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        cli.emit(ColumnBlocks(headers, iter(blocks)), fmt)
+    return buffer.getvalue()
+
+
+def assert_references(headers: list, blocks: list, context=None) -> None:
+    """`emit` writes what the references write for the rows of the blocks."""
+    records = [dict(zip(headers, row)) for block in blocks for row in zip(*block)]
+    for fmt, reference in REFERENCES.items():
+        assert emitted(fmt, headers, blocks) == reference(records), (fmt, context)
+
 
 FLOATS = st.floats() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
@@ -90,93 +114,67 @@ TEXTS = st.text(max_size=6) | st.sampled_from(
     ["", "a,b", 'say "hi"', "line\nbreak", "cr\r\n", "\u00fcn\u00efc\u00f6de",
      "\u65e5\u672c", " pad ", "tab\t", "\u2028", "{}", "{0}", "\\", "\x00"]
 )
-SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | TEXTS
-# Values only JSON is asked to render as the json module does: nested values
-# and subclasses of float and int.
-JSON_VALUES = (
-    SCALARS
-    | FLOATS.map(np.float64)
-    | st.recursive(
-        SCALARS,
-        lambda inner: st.lists(inner, max_size=3)
-        | st.dictionaries(TEXTS, inner, max_size=3),
-        max_leaves=6,
-    )
-)
-JSON_KEYS = TEXTS | st.integers() | FLOATS | st.none() | st.booleans()
+CELLS = st.none() | FLOATS | TEXTS
 
 
 @st.composite
-def record_lists(draw, values=SCALARS, keys=TEXTS):
-    """Records that mostly share their keys, each column of one kind of value,
-    with some records whose keys differ, come in another order or are
-    missing."""
-    headers = draw(st.lists(keys, max_size=5, unique=True))
-    kinds = [draw(st.sampled_from([FLOATS, st.integers(), TEXTS, values]))
-             for _ in headers]
-    records = [
-        {h: draw(kind) for h, kind in zip(headers, kinds)}
-        for _ in range(draw(st.integers(1, 9)))
-    ]
-    for other in draw(st.lists(st.dictionaries(keys, values, max_size=4), max_size=3)):
-        records.insert(draw(st.integers(0, len(records))), other)
-    if draw(st.booleans()):
-        i = draw(st.integers(0, len(records) - 1))
-        records[i] = dict(reversed(list(records[i].items())))
-    return records
-
-
-def rendered(render, records) -> tuple:
-    try:
-        return ("ok", render(records))
-    except Exception as exc:  # the same failure is part of the contract
-        return ("error", type(exc).__name__, str(exc))
+def column_blocks(draw, size: int) -> tuple[list, list]:
+    """Headers, and 1 to 9 rows in blocks of `size` rows. Each column holds
+    floats, texts, Nones or a mix of them."""
+    headers = draw(st.lists(TEXTS, min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from([FLOATS, TEXTS, st.none(), CELLS])) for _ in headers]
+    rows = draw(st.integers(1, 9))
+    columns = [[draw(kind) for _ in range(rows)] for kind in kinds]
+    return headers, [[column[lo:lo + size] for column in columns] for lo in range(0, rows, size)]
 
 
 class TestRenderers:
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), block=st.sampled_from([1, 2, 3, cli._BLOCK_ROWS]))
-    def test_renderers_equal_the_per_cell_references(self, data, block):
-        with mock.patch.object(cli, "_BLOCK_ROWS", block):
-            records = data.draw(record_lists())
-            for fmt, (render, reference) in RENDERERS.items():
-                assert rendered(render, records) == rendered(reference, records), fmt
-            records = data.draw(record_lists(JSON_VALUES, JSON_KEYS))
-            assert rendered(cli._render_json, records) == rendered(reference_json, records)
+    @given(data=st.data(), size=st.sampled_from([1, 2, 3, cli._BLOCK_ROWS]))
+    def test_renderers_equal_the_per_cell_references(self, data, size):
+        with mock.patch.object(cli, "_BLOCK_ROWS", size):
+            headers, blocks = data.draw(column_blocks(size))
+            assert_references(headers, blocks)
 
     def test_edge_records(self):
-        for records in (
-            [{}],
-            [{}, {"a": 1.0}],
-            [{"a": 1.0}, {}, {"b": "x"}],
-            [{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}],
-            [{"": ""}, {"": None}],
-            [{"x": np.float64(0.1), "y": [1, {"z": math.nan}]}, {"x": 0.1, "y": {}}],
-            [{1: 2.0, "1": 3.0}, {None: True, 2.5: False}],
+        for headers, blocks in (
+            ([""], [[["", None]]]),
+            (["lone"], [[[""]], [[None]]]),
+            (["a", "b"], [[[1.0], ["x"]], [[math.nan], ['"q"']], [[None], ["y,z"]]]),
+            (["{}", 'a"b', "\u00fc", "{0}"], [[[-0.0], [math.inf], [-math.inf], ["\n"]]]),
+            (["none", "text"], [[[None, None], ["", ""]]]),
         ):
-            for fmt, (render, reference) in RENDERERS.items():
-                assert rendered(render, records) == rendered(reference, records), (
-                    fmt, records,
-                )
+            assert_references(headers, blocks, headers)
 
     def test_sweeps_over_several_blocks(self):
         for parameter, stop, step in (
             ("isotropic_p", 1.0, 1e-4), ("theta_degrees", 360.0, 0.04),
         ):
-            records = sweep_rows(Scenario(
+            headers, blocks = sweep_columns(Scenario(
                 scenario_id="s", kind="sweep",
                 parameters={"parameter": parameter, "start": 0.0,
                             "stop": stop, "step": step},
             ))
-            assert len(records) > 2 * cli._BLOCK_ROWS
-            for fmt, (render, reference) in RENDERERS.items():
-                assert render(records) == reference(records), (parameter, fmt)
+            blocks = list(blocks)
+            assert len(blocks) > 2
+            assert_references(headers, blocks, parameter)
 
-    def test_every_run_equals_the_references(self):
+    def test_every_run_equals_the_references(self, capsys):
         for scenario in builtin_scenarios().values():
-            records = [as_record(row) for row in run(scenario)]
-            for fmt, (render, reference) in RENDERERS.items():
-                assert render(records) == reference(records), (scenario.scenario_id, fmt)
+            for flags, mc in (([], None), (["--samples", "2000"], SampleConfig(2000, 42))):
+                records = [as_record(row) for row in run(replace(scenario, mc=mc))]
+                for fmt, reference in REFERENCES.items():
+                    assert run_cli(
+                        capsys, "run", scenario.scenario_id, *flags, "--format", fmt,
+                    ) == (0, reference(records), ""), (scenario.scenario_id, flags, fmt)
+
+    def test_list_equals_the_references(self, capsys):
+        records = [
+            {"scenario": s.scenario_id, "kind": s.kind, "notes": " ".join(s.notes)}
+            for s in builtin_scenarios().values()
+        ]
+        for fmt, reference in REFERENCES.items():
+            assert run_cli(capsys, "list", "--format", fmt) == (0, reference(records), "")
 
 
 class TestRunCommand:
@@ -390,7 +388,7 @@ class TestStreamedSweeps:
         records = sweep_rows(Scenario(f"sweep-{parameter}", "sweep", grid))
         assert len(records) == points
         target = tmp_path / "sweep.out"
-        for fmt, (_, reference) in RENDERERS.items():
+        for fmt, reference in REFERENCES.items():
             want = reference(records)
             assert run_cli(capsys, *argv, "--format", fmt) == (0, want, ""), fmt
             assert run_cli(capsys, *argv, "--format", fmt, "--out", str(target)) == (0, "", "")
@@ -402,7 +400,7 @@ class TestStreamedSweeps:
         path.write_text(json.dumps({"id": "theta-file", "kind": "sweep", "parameters": grid}))
         records = sweep_rows(Scenario("theta-file", "sweep", grid))
         assert len(records) == 4097
-        for fmt, (_, reference) in RENDERERS.items():
+        for fmt, reference in REFERENCES.items():
             assert run_cli(capsys, "run", str(path), "--format", fmt) == (
                 0, reference(records), "",
             ), fmt
@@ -450,6 +448,26 @@ class TestStreamedSweeps:
         assert code == 0, proc.stderr
         assert target.read_text().count("sweep-isotropic_p") == 300_001
         assert peak_kb < 80 * 1024
+
+    def test_monte_carlo_is_refused(self, capsys, tmp_path):
+        # Sweeps are analytic only: asking for sampling is a named problem,
+        # never a silent analytic run.
+        path = tmp_path / "sweep-mc.json"
+        path.write_text(json.dumps({
+            "id": "sweep-mc", "kind": "sweep", "mc": {"n_samples": 1000, "seed": 1},
+            "parameters": {"parameter": "isotropic_p", "start": 0.0, "stop": 1.0, "step": 0.5},
+        }))
+        shipped = str(Path(__file__).resolve().parent.parent / "scenarios" / "sweep-isotropic.json")
+        for argv in (
+            ["run", shipped, "--mc"],
+            ["run", shipped, "--samples", "1000"],
+            ["run", shipped, "--seed", "3"],
+            ["run", str(path)],
+            ["validate", str(path)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.count("error:") == 1 and "sweeps are analytic only" in err, argv
 
 
 class TestListAndValidate:
@@ -528,6 +546,27 @@ class TestExitCodes:
             assert out == ""
             assert err.count("error:") == 1 and field in err
             assert "Error:" not in err
+
+    def test_non_string_kind_is_one_problem(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        for kind in (5, [1], None):
+            path.write_text(json.dumps({"id": "x", "kind": kind, "parameters": {}}))
+            for command in ("run", "validate"):
+                code, out, err = run_cli(capsys, command, str(path))
+                assert (code, out) == (1, ""), (kind, command)
+                assert err == f"error: kind must be one of {KINDS}, got {kind!r}\n"
+
+    def test_failed_run_writes_no_file(self, capsys, tmp_path):
+        # One sample has a constant outcome: the run fails before --out opens.
+        target = tmp_path / "rows.out"
+        for fmt in FORMATS:
+            code, out, err = run_cli(
+                capsys, "run", "paper-coin", "--samples", "1", "--format", fmt,
+                "--out", str(target),
+            )
+            assert (code, out) == (1, ""), fmt
+            assert "n_samples" in err
+            assert not target.exists()
 
     def test_bogus_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
