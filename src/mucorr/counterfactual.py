@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateSequenceError,
@@ -28,6 +27,9 @@ from .errors import (
 )
 from .spin import Direction, correlation, match_probability, dot
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ORTHOGONALITY_TOL = 1e-12
 #: Two CI correlations are "different" if they differ by more than this.
 CI_DIFFERENCE_TOL = 1e-12
@@ -35,6 +37,8 @@ CI_DIFFERENCE_TOL = 1e-12
 
 def as_outcomes(values) -> np.ndarray:
     """Validate and convert a +/-1 outcome sequence to an int8 array."""
+    import numpy as np
+
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("outcome sequence must be a non-empty 1-d sequence")
@@ -53,6 +57,8 @@ def pearson_pm1(m, u) -> float:
     DegenerateSequenceError when either sequence is constant (zero
     variance), which includes any length-1 sequence.
     """
+    import numpy as np
+
     m_arr = as_outcomes(m)
     u_arr = as_outcomes(u)
     if m_arr.size != u_arr.size:

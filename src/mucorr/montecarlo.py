@@ -8,18 +8,23 @@ memory, and the estimators are closed forms of the counts.
 All randomness flows from numpy's PCG64. A run is identified by
 (seed, stream index): independent quantities inside one run draw from
 substreams derived via SeedSequence(seed, spawn_key=(index,)), so adding
-or reordering estimates never changes any other estimate.
+or reordering estimates never changes any other estimate. numpy is
+imported by the first draw, so code that only builds a SampleConfig (the
+CLI does for every `run`) does not load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateSequenceError, DomainError
-from .nsbox import NsBox
 from .spin import Direction, match_probability
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .nsbox import NsBox
 
 #: The largest sample count numpy's multinomial accepts.
 MAX_SAMPLES = 2**63 - 1
@@ -58,6 +63,8 @@ class EmpiricalEstimate:
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for one independent quantity within a seeded run."""
+    import numpy as np
+
     seq = np.random.SeedSequence(seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(seq))
 
@@ -67,6 +74,8 @@ def sample_counts(
 ) -> tuple[int, int, int, int]:
     """Cell counts (n00, n01, n10, n11) of cfg.n_samples draws from a 2x2
     joint table of two outcomes, from substream `stream_index`."""
+    import numpy as np
+
     flat = np.asarray(table, dtype=float).reshape(4)
     if not (flat >= 0.0).all():
         raise DomainError("cannot sample a table with negative entries")

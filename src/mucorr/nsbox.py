@@ -13,12 +13,11 @@ import enum
 import itertools
 import math
 import re
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _finite_float
 
 CONSTRAINT_TOL = 1e-9
 
@@ -343,9 +342,3 @@ def from_labeled_dict(entries: dict[str, float]) -> NsBox:
         raise ValidationError(problems)
     return NsBox(table)
 
-
-def _finite_float(value) -> float | None:
-    """value as a float if it is a number, not a bool, inside the float
-    range (a test exact for any int, false for nan and inf); else None."""
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return float(value) if is_number and abs(value) <= sys.float_info.max else None

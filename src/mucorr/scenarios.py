@@ -12,16 +12,15 @@ other rows exist.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from . import montecarlo as mc
-from . import nsbox as nsb
 from .counterfactual import (
     ORTHOGONALITY_TOL,
     info_leakage,
@@ -30,7 +29,7 @@ from .counterfactual import (
     report_for_option,
     rho_conditional_independence,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _finite_float
 from .montecarlo import EmpiricalEstimate, SampleConfig
 from .spin import (
     CLASSICAL_BOUND,
@@ -41,6 +40,27 @@ from .spin import (
     correlation,
     dot,
 )
+
+
+def _lazy_module(name: str):
+    """The module `name`, loaded on first attribute access if it is not
+    loaded yet."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    # Bound to its package, as an import binds it.
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# nsbox imports numpy, which takes most of the start-up time; only box
+# scenarios and isotropic sweeps need it.
+nsb = _lazy_module(f"{__package__}.nsbox")
 
 REMOTE_OPTION_NAMES = ("none", "b", "b_prime")
 SWEEP_PARAMETERS = ("theta_degrees", "isotropic_p")
@@ -165,7 +185,7 @@ def _check_number(
             problems.append(f"parameters.{key} is required")
         return None
     value = params[key]
-    number = nsb._finite_float(value)
+    number = _finite_float(value)
     if number is None:
         problems.append(f"parameters.{key} must be a finite number, got {value!r}")
         return None
@@ -385,6 +405,8 @@ def load_scenario_file(path: str) -> Scenario:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8: {exc}") from exc
+    except OSError as exc:  # a directory, or a file without read permission
+        raise ValidationError(f"{path}: cannot read the file: {exc.strerror or exc}") from exc
     try:
         data = json.loads(text)
     except ValueError as exc:  # also an integer literal beyond Python's digit limit
@@ -748,6 +770,8 @@ def sweep_columns(scenario: Scenario) -> ColumnBlocks:
 
 
 def _sweep_blocks(sid: str, params: dict) -> Iterator[list[list]]:
+    import numpy as np
+
     start, step = float(params["start"]), float(params["step"])
     size = _grid_steps(start, float(params["stop"]), step) + 1
     a = Direction.from_degrees(float(params.get("a_degrees", 0.0)))

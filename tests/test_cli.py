@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -567,6 +568,22 @@ class TestExitCodes:
             assert (code, out) == (1, ""), fmt
             assert "n_samples" in err
             assert not target.exists()
+
+    def test_unreadable_scenario_path_is_validation_error(self, capsys, tmp_path):
+        # A directory, or a file that cannot be opened, is a bad scenario.
+        locked = tmp_path / "locked.json"
+        locked.write_text("{}")
+        denied = PermissionError(errno.EACCES, "Permission denied", str(locked))
+        for path, patch in (
+            (tmp_path, contextlib.nullcontext()),
+            (locked, mock.patch("mucorr.scenarios.open", side_effect=denied, create=True)),
+        ):
+            for command in ("run", "validate"):
+                with patch:
+                    code, out, err = run_cli(capsys, command, str(path))
+                assert (code, out) == (1, ""), (path, command)
+                assert err.startswith(f"error: {path}: cannot read the file: ")
+                assert err.count("\n") == 1 and "Errno" not in err
 
     def test_bogus_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

@@ -1,0 +1,128 @@
+"""numpy is imported only by the code that computes with it.
+
+Each check runs in a fresh interpreter, since a module once imported stays
+in `sys.modules`: the spin, counterfactual and classical paths of the CLI
+never load numpy, and boxes, sweeps and Monte Carlo load it when they run.
+"""
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import mucorr
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHSH = {
+    "id": "chsh-file", "kind": "chsh",
+    "parameters": {"a_degrees": 0, "a_prime_degrees": 90, "b_degrees": 30,
+                   "b_prime_degrees": 120},
+}
+COUNTERFACTUAL = {
+    "id": "cf-file", "kind": "counterfactual",
+    "parameters": {"theta_degrees": 30, "a_degrees": 0, "a_prime_degrees": 90},
+}
+
+#: The public names of the package before nsbox was loaded on demand.
+PUBLIC_NAMES = [
+    "BoxClass", "BoxClassification", "CLASSICAL_BOUND", "ChshClass",
+    "CounterfactualReport", "DegenerateSequenceError", "Direction",
+    "DomainError", "EmpiricalEstimate", "LengthMismatchError",
+    "NonlocalityVerdict", "NotOrthogonalError", "NsBox", "ResultRow",
+    "SampleConfig", "Scenario", "SettingsQuad", "TSIRELSON_BOUND",
+    "ValidationError", "binary_entropy", "builtin_scenarios", "chsh_e_form",
+    "chsh_s", "chsh_s_e", "chsh_s_ns", "ci_product", "classify_box",
+    "classify_chsh", "correlation", "correlator", "estimate_ci_correlation",
+    "estimate_coin_correlation", "estimate_ns_pair",
+    "estimate_pair_correlation", "estimate_shapes_correlation",
+    "from_correlators", "from_labeled_dict", "info_leakage", "info_scan",
+    "isotropic_parameter", "load_scenario_file", "make_isotropic",
+    "match_probability", "max_info_direction", "modified_settings_55_35",
+    "nonlocality_verdict", "overlap_lower_bound", "pearson_pm1", "pr_box",
+    "report_for_option", "rho_ci_general_direction", "rho_ci_ns",
+    "rho_conditional_independence", "rho_min_ns", "rho_min_quantum", "run",
+    "shapes_rho", "standard_chsh_settings", "substream", "sweep_rows",
+    "target_probability", "to_labeled_dict", "validate_no_signalling",
+    "validate_scenario",
+]
+
+
+def numpy_loaded_after(*argv: str) -> bool:
+    """Whether `import mucorr.cli`, then `main(argv)` if argv is given,
+    imports numpy in a fresh interpreter. The call must exit 0."""
+    script = (
+        "import json, sys\n"
+        "from mucorr.cli import main\n"
+        f"argv = {json.dumps(list(argv))}\n"
+        "code = main(argv) if argv else 0\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, (argv, proc.stderr)
+    return loaded
+
+
+@pytest.fixture(scope="module")
+def scenario_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("files")
+    paths = {}
+    for doc in (CHSH, COUNTERFACTUAL):
+        paths[doc["kind"]] = path = root / f"{doc['id']}.json"
+        path.write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["list"],
+    ["--help"],
+    ["run", "paper-standard"],
+    ["run", "paper-55-35"],
+    ["run", "paper-coin"],
+    ["run", "paper-shapes"],
+    ["run", "paper-standard", "--format", "json"],
+])
+def test_spin_and_classical_calls_never_load_numpy(argv):
+    assert not numpy_loaded_after(*argv)
+
+
+@pytest.mark.parametrize("kind", ["chsh", "counterfactual"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_spin_scenario_files_never_load_numpy(scenario_files, command, kind):
+    assert not numpy_loaded_after(command, str(scenario_files[kind]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "paper-pr-box"],
+    ["run", "paper-standard", "--mc", "--samples", "1000"],
+    ["sweep", "--parameter", "theta_degrees", "--start", "0", "--stop", "9", "--step", "1"],
+])
+def test_boxes_monte_carlo_and_sweeps_load_numpy(argv):
+    assert numpy_loaded_after(*argv)
+
+
+def test_public_names_are_unchanged():
+    assert mucorr.__all__ == PUBLIC_NAMES
+    from mucorr import NsBox, make_isotropic
+
+    assert isinstance(make_isotropic(1.0), NsBox)
+    assert set(PUBLIC_NAMES) <= set(dir(mucorr))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mucorr.no_such_name
+
+
+def test_scenarios_reach_nsbox_through_a_module_alias():
+    from mucorr import scenarios
+
+    assert isinstance(scenarios.nsb, types.ModuleType)
+    assert scenarios.nsb.__name__ == "mucorr.nsbox"
+    assert scenarios.nsb is sys.modules["mucorr.nsbox"] is mucorr.nsbox
