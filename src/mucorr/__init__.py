@@ -39,6 +39,27 @@ from .montecarlo import (
     shapes_rho,
     substream,
 )
+from .nsbox import (
+    BoxClass,
+    BoxClassification,
+    NsBox,
+    chsh_e_form,
+    chsh_s_e,
+    chsh_s_ns,
+    ci_product,
+    classify_box,
+    correlator,
+    from_correlators,
+    from_labeled_dict,
+    isotropic_parameter,
+    make_isotropic,
+    pr_box,
+    rho_ci_ns,
+    rho_min_ns,
+    target_probability,
+    to_labeled_dict,
+    validate_no_signalling,
+)
 from .scenarios import (
     ResultRow,
     Scenario,
@@ -64,31 +85,8 @@ from .spin import (
 
 __version__ = "0.2.0"
 
-#: The public names of nsbox. It imports numpy, so it loads on first use.
-_NSBOX_NAMES = (
-    "BoxClass", "BoxClassification", "NsBox", "chsh_e_form", "chsh_s_e",
-    "chsh_s_ns", "ci_product", "classify_box", "correlator",
-    "from_correlators", "from_labeled_dict", "isotropic_parameter",
-    "make_isotropic", "pr_box", "rho_ci_ns", "rho_min_ns",
-    "target_probability", "to_labeled_dict", "validate_no_signalling",
+# Every public name imported above, and nothing else.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
 )
-
-
-def __getattr__(name):
-    if name in _NSBOX_NAMES:
-        from . import nsbox
-
-        return getattr(nsbox, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted([*globals(), *_NSBOX_NAMES])
-
-
-# Every public name imported above, those of nsbox, and nothing else.
-__all__ = sorted([
-    *(name for name, value in globals().items()
-      if not (name.startswith("_") or isinstance(value, _ModuleType))),
-    *_NSBOX_NAMES,
-])

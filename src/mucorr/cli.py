@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -129,13 +131,14 @@ def _fmt_cell(value) -> str:
 #: Table lines that emit writes at a time.
 _BLOCK_ROWS = 4096
 
-_float_cell = "{:.12g}".format
-
 
 def _cell_column(values: list) -> tuple[list[str], set[type]]:
     """The values as `_fmt_cell` gives them, with the set of their types."""
     types = set(map(type, values))
-    return list(map(_float_cell if types == {float} else _fmt_cell, values)), types
+    if types == {float}:
+        # One % formats the whole column, as '.12g' formats each cell.
+        return ("%.12g\n" * len(values) % tuple(values)).splitlines(), types
+    return list(map(_fmt_cell, values)), types
 
 
 def _write_table(stream, headers: list, blocks) -> None:
@@ -149,15 +152,18 @@ def _write_table(stream, headers: list, blocks) -> None:
             cells.extend(text)
             types |= seen
     widths = [max(len(header), max(map(len, cells))) for header, cells in zip(headers, columns)]
-    # One format string pads a whole row: numbers right, text left.
+    # One template pads a whole row: numbers right, text left.
     row = "  ".join(
-        f"{{:{'<' if str in types else '>'}{width}}}" for types, width in zip(kinds, widths)
+        f"%{'-' if str in types else ''}{width}s" for types, width in zip(kinds, widths)
     )
-    stream.write(row.format(*headers).rstrip() + "\n")
-    stream.write(row.format(*["-" * width for width in widths]).rstrip() + "\n")
+    stream.write((row % tuple(headers)).rstrip() + "\n")
+    stream.write((row % tuple("-" * width for width in widths)).rstrip() + "\n")
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         cells = [column[start:start + _BLOCK_ROWS] for column in columns]
-        stream.write("".join(line.rstrip() + "\n" for line in map(row.format, *cells)))
+        lines = map(row.__mod__, zip(*cells))
+        if kinds[-1] != {float}:  # a line that ends in a number has no trailing spaces
+            lines = map(str.rstrip, lines)
+        stream.write("\n".join(lines) + "\n")
 
 
 def _write_csv(stream, headers: list, blocks) -> None:
@@ -207,14 +213,21 @@ def _json_column(values: list) -> list[str]:
 def _write_json(stream, headers: list, blocks) -> None:
     """An array of one object per row, laid out as `json.dumps(rows,
     indent=2)` lays it out, a block at a time."""
-    keys = ",\n    ".join(
-        encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}"
-        for key in headers
-    )
-    row = ("  {{\n    " + keys + "\n  }}").format
+    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in headers]
     opener = "[\n"
     for block in blocks:
-        stream.write(opener + ",\n".join(map(row, *map(_json_column, block))))
+        # A column of finite floats goes into one % as it is, for '%r' to
+        # write each float as `json` does; any other column as its JSON text.
+        finite = [
+            set(map(type, values)) == {float} and math.isfinite(sum(values))
+            for values in block
+        ]
+        row = "  {\n    " + ",\n    ".join(
+            key + (": %r" if raw else ": %s") for key, raw in zip(keys, finite)
+        ) + "\n  }"
+        cells = [values if raw else _json_column(values) for values, raw in zip(block, finite)]
+        rows = ",\n".join([row] * len(block[0])) % tuple(chain.from_iterable(zip(*cells)))
+        stream.write(opener + rows)
         opener = ",\n"
     stream.write("\n]\n")
 

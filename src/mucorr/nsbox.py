@@ -5,79 +5,125 @@ all in {0, 1}. The boxes of interest have uniformly random local outputs
 and marginals independent of the remote input (no-signalling). The target
 parity for inputs (a, b) is the product ab: the winning event is
 A xor B = ab. Every box quantity reads two-cell sums of the table over
-(A, B), and those sums take a trailing grid axis for a whole isotropic sweep.
+(A, B). A box holds its 16 entries as Python floats and computes with
+plain arithmetic; only the array views `NsBox.table` and `NsBox.joint`
+import numpy.
 """
 from __future__ import annotations
 
 import enum
 import itertools
 import math
+import numbers
 import re
+import reprlib
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ValidationError, _finite_float
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONSTRAINT_TOL = 1e-9
 
 _KEY_RE = re.compile(r"^P\(([01]),([01])\|([01]),([01])\)$")
 
-_OUT_A, _OUT_B, _IN_A, _IN_B = np.indices((2, 2, 2, 2))
-#: Cells of table[A, B, a, b] with A = B.
-_SAME = _OUT_A == _OUT_B
-#: Cells of table[A, B, a, b] that hit the target parity, A xor B = ab.
-_WIN = (_OUT_A ^ _OUT_B) == (_IN_A & _IN_B)
+_BITS = (0, 1)
+#: (a, b) and the other pairs of bits, in index order.
+_PAIRS = tuple(itertools.product(_BITS, repeat=2))
+#: The cells (A, B, a, b) in table order.
+_CELLS = tuple(itertools.product(_BITS, repeat=4))
+#: Whether each cell hits the target parity, A xor B = ab.
+_WIN = [A ^ B == a & b for A, B, a, b in _CELLS]
+#: (party, output, a, b) of each uniform-marginal constraint, in index order.
+_UNIFORM = [(party, out, a, b) for a, b in _PAIRS for party in "AB" for out in _BITS]
 #: The wire-format keys "P(A,B|a,b)" in table order.
-_TABLE_KEYS = ["P({},{}|{},{})".format(*i) for i in itertools.product((0, 1), repeat=4)]
+_TABLE_KEYS = ["P({},{}|{},{})".format(*cell) for cell in _CELLS]
 
 
-@dataclass(frozen=True, eq=False)
 class NsBox:
     """Conditional probability table, indexed as table[A, B, a, b].
 
     The container itself accepts any 16 numbers so that invalid tables
     can be constructed and then inspected; use
     :func:`validate_no_signalling` to check the box constraints. Each box
-    also holds read-only (2, 2) target rates `_win[a, b]` and correlators `_corr[a, b]`.
+    also holds its (2, 2) target rates `_win[a][b]` and correlators
+    `_corr[a][b]` as tuples.
     """
 
-    table: np.ndarray
+    __slots__ = ("_t", "_win", "_corr")
 
-    @np.errstate(over="ignore", invalid="ignore")  # inf and nan are results here
-    def __post_init__(self):
-        arr = np.array(self.table, dtype=float)
-        if arr.shape != (2, 2, 2, 2):
+    def __init__(self, table):
+        try:
+            self._t = _nested(table, 4)
+        except (TypeError, ValueError):
             raise DomainError(
-                f"box table must have shape (2, 2, 2, 2), got {arr.shape}"
-            )
+                "box table must be 16 numbers in shape (2, 2, 2, 2), "
+                f"got {reprlib.repr(table)}"
+            ) from None
+        self._win, self._corr = _rates(self._t)
+
+    @classmethod
+    def _of(cls, entries: list[float]) -> NsBox:
+        """The box of 16 floats in table order, taken as they are."""
+        box = cls.__new__(cls)
+        box._t = _nest(entries)
+        box._win, box._corr = _rates(box._t)
+        return box
+
+    def __repr__(self) -> str:
+        return f"NsBox({self._t!r})"
+
+    @property
+    def table(self) -> np.ndarray:
+        """The entries as a read-only (2, 2, 2, 2) array, built on each access."""
+        import numpy as np
+
+        arr = np.array(self._t)
         arr.setflags(write=False)
-        object.__setattr__(self, "table", arr)
-        for name, value in zip(("_win", "_corr"), _rates(arr)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        return arr
 
     def prob(self, a_out: int, b_out: int, a_in: int, b_in: int) -> float:
         """P(A=a_out, B=b_out | a=a_in, b=b_in)."""
-        return float(self.table[a_out, b_out, a_in, b_in])
+        return self._t[a_out][b_out][a_in][b_in]
 
     def joint(self, a_in: int, b_in: int) -> np.ndarray:
-        """The 2x2 output distribution for one input pair."""
-        return np.array(self.table[:, :, a_in, b_in])
+        """The 2x2 output distribution for one input pair, as a new array."""
+        import numpy as np
+
+        return np.array([[self._t[A][B][a_in][b_in] for B in _BITS] for A in _BITS])
 
 
-def _rates(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Target rates win[a, b] and correlators corr[a, b] of table[A, B, a, b],
-    each from sums of two cells; trailing (grid) axes carry through."""
-    same, differ = table[0, 0] + table[1, 1], table[0, 1] + table[1, 0]
-    win = same.copy()
-    win[1, 1] = differ[1, 1]  # the target parity for a = b = 1 is A != B
-    return win, same - differ
+def _nested(value, depth: int):
+    """value as `depth` levels of pairs around real numbers, in tuples of
+    floats; TypeError or ValueError if it is not that."""
+    if depth == 0:
+        if not isinstance(value, numbers.Real):
+            raise TypeError(value)
+        return float(value)
+    if len(value) != 2:
+        raise ValueError(value)
+    return tuple(_nested(item, depth - 1) for item in value)
 
 
-def _isotropic_table(p):
-    """table[A, B, a, b] of the isotropic box at p, with p's grid axis last."""
-    return np.where(_WIN.reshape(_WIN.shape + (1,) * np.ndim(p)), p / 2.0, (1.0 - p) / 2.0)
+def _nest(entries: list) -> tuple:
+    """16 entries in table order as nested pairs t[A][B][a][b]."""
+    for _ in range(4):
+        entries = list(zip(entries[::2], entries[1::2]))
+    return entries[0]
+
+
+def _rates(t) -> tuple[tuple, tuple]:
+    """Target rates win[a][b] and correlators corr[a][b] of the table
+    t[A][B][a][b], each from sums of two cells."""
+    (t00, t01), (t10, t11) = t
+    same = [[x + y for x, y in zip(*rows)] for rows in zip(t00, t11)]  # P(A=B|a,b)
+    differ = [[x + y for x, y in zip(*rows)] for rows in zip(t01, t10)]
+    # The target parity for a = b = 1 is A != B.
+    win = ((same[0][0], same[0][1]), (same[1][0], differ[1][1]))
+    corr = tuple(tuple(s - d for s, d in zip(*rows)) for rows in zip(same, differ))
+    return win, corr
 
 
 def make_isotropic(p: float) -> NsBox:
@@ -89,16 +135,27 @@ def make_isotropic(p: float) -> NsBox:
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"isotropic parameter must lie in [0, 1], got {p!r}")
-    return NsBox(_isotropic_table(p))
+    hit, miss = p / 2.0, (1.0 - p) / 2.0
+    return NsBox._of([hit if win else miss for win in _WIN])
 
 
-def isotropic_sweep(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """chsh_s_ns, chsh_s_e and rho_min_ns(., 0) of make_isotropic(p) for every
-    p of a 1-d grid in [0, 1], bit for bit, as three columns."""
-    if not ((0.0 <= p) & (p <= 1.0)).all():
-        raise DomainError("isotropic parameters must lie in [0, 1]")
-    win, corr = _rates(_isotropic_table(p))
-    return _parity_sum(win), abs(_e_form(corr)), _rho_min(win, 0)
+def isotropic_sweep(p) -> tuple[list[float], list[float], list[float]]:
+    """chsh_s_ns, chsh_s_e and rho_min_ns(., 0) of make_isotropic(q) for every
+    q of a sequence p in [0, 1], bit for bit, as three lists."""
+    s_ns, s_e, rho_min = [], [], []
+    for q in p:
+        if not 0.0 <= q <= 1.0:
+            raise DomainError("isotropic parameters must lie in [0, 1]")
+        # Every target rate is the two-cell sum hit + hit. Each correlator is
+        # that less miss + miss, the other way round for a = b = 1.
+        hit, miss = q / 2.0, (1.0 - q) / 2.0
+        win, lose = hit + hit, miss + miss
+        e = win - lose
+        s_ns.append(abs(win + win + win + win))
+        s_e.append(abs(e + e + e - (lose - win)))
+        floor = 2.0 * (win + win) - 3.0
+        rho_min.append(floor if floor > -1.0 else -1.0)
+    return s_ns, s_e, rho_min
 
 
 def pr_box() -> NsBox:
@@ -116,8 +173,11 @@ def from_correlators(e00: float, e01: float, e10: float, e11: float) -> NsBox:
     for e in (e00, e01, e10, e11):
         if not -1.0 <= e <= 1.0:
             raise DomainError(f"correlator must lie in [-1, 1], got {e!r}")
-    corr = np.array([e00, e01, e10, e11], dtype=float).reshape(2, 2)
-    return NsBox(np.where(_SAME, (1.0 + corr) / 4.0, (1.0 - corr) / 4.0))
+    corr = ((float(e00), float(e01)), (float(e10), float(e11)))
+    return NsBox._of([
+        (1.0 + corr[a][b]) / 4.0 if A == B else (1.0 - corr[a][b]) / 4.0
+        for A, B, a, b in _CELLS
+    ])
 
 
 @dataclass(frozen=True)
@@ -129,52 +189,59 @@ class ConstraintViolation:
     residual: float
 
 
-def _violations(kind: str, residual: np.ndarray, where) -> list[ConstraintViolation]:
-    """A violation for each residual entry above the tolerance, in index
-    order; where(*index) names the constraint."""
+def _violations(kind: str, where, indices, residuals) -> list[ConstraintViolation]:
+    """A violation for each residual above the tolerance, in order;
+    where(*index) names the constraint at the index paired with it."""
     return [
-        ConstraintViolation(kind, where(*index), float(residual[index]))
-        for index in zip(*np.nonzero(residual > CONSTRAINT_TOL))
+        ConstraintViolation(kind, where(*index), residual)
+        for index, residual in zip(indices, residuals) if residual > CONSTRAINT_TOL
     ]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and nan are results here
 def validate_no_signalling(box: NsBox) -> list[ConstraintViolation]:
     """Check normalization, no-signalling, and uniform local marginals.
 
     Returns every violated constraint (tolerance 1e-9 absolute); an empty
     list means the box is valid. Violations are data, not errors.
     """
-    t = box.table
-    marginal_a, marginal_b = t.sum(axis=1), t.sum(axis=0)  # [A, a, b], [B, a, b]
-    # Indexed [a, b, party, output]: A0, A1, B0, B1 for each input pair.
-    uniform = np.abs(np.stack([marginal_a, marginal_b]) - 0.5).transpose(2, 3, 0, 1)
+    t = box._t
+    entries = [x for t_a in t for t_ab in t_a for row in t_ab for x in row]
+    # marginal_a[A][a][b] and marginal_b[B][a][b].
+    marginal_a = [[[x + y for x, y in zip(*rows)] for rows in zip(*t_a)] for t_a in t]
+    marginal_b = [[[x + y for x, y in zip(*rows)] for rows in zip(*t_b)] for t_b in zip(*t)]
+    (t00, t01), (t10, t11) = t
     return (
-        _violations("entry-range", np.maximum(-t, t - 1.0), "P({},{}|{},{})".format)
-        + _violations("normalization", np.abs(t.sum(axis=(0, 1)) - 1.0),
-                      "sum P(.,.|{},{})".format)
+        _violations("entry-range", "P({},{}|{},{})".format, _CELLS,
+                    [max(-x, x - 1.0) for x in entries])
+        + _violations("normalization", "sum P(.,.|{},{})".format, _PAIRS, [
+            abs(t00[a][b] + t01[a][b] + t10[a][b] + t11[a][b] - 1.0) for a, b in _PAIRS
+        ])
         # Party 1: the A marginal may not depend on the remote input b.
-        + _violations("no-signalling", np.abs(marginal_a[..., 0] - marginal_a[..., 1]),
-                      "P(A={}|a={}) across b".format)
+        + _violations("no-signalling", "P(A={}|a={}) across b".format, _PAIRS, [
+            abs(marginal_a[A][a][0] - marginal_a[A][a][1]) for A, a in _PAIRS
+        ])
         # Party 2: the B marginal may not depend on the remote input a.
-        + _violations("no-signalling", np.abs(marginal_b[:, 0] - marginal_b[:, 1]),
-                      "P(B={}|b={}) across a".format)
-        + _violations("uniform-marginal", uniform, lambda a_in, b_in, party, out:
-                      f"P({'AB'[party]}={out}|a={a_in},b={b_in})")
+        + _violations("no-signalling", "P(B={}|b={}) across a".format, _PAIRS, [
+            abs(marginal_b[B][0][b] - marginal_b[B][1][b]) for B, b in _PAIRS
+        ])
+        + _violations("uniform-marginal", "P({}={}|a={},b={})".format, _UNIFORM, [
+            abs(marginal[out][a][b] - 0.5)
+            for a, b in _PAIRS for marginal in (marginal_a, marginal_b) for out in _BITS
+        ])
     )
 
 
 def target_probability(box: NsBox, a_in: int, b_in: int) -> float:
     """P(A xor B = ab | a, b) for one input pair."""
-    return float(box._win[a_in, b_in])
+    return box._win[a_in][b_in]
 
 
 def correlator(box: NsBox, a_in: int, b_in: int) -> float:
     """E_ab = P(A=B|a,b) - P(A!=B|a,b)."""
-    return float(box._corr[a_in, b_in])
+    return box._corr[a_in][b_in]
 
 
-# win[a][b] and corr[a][b] are nested lists of Python floats or grid columns.
+# win[a][b] and corr[a][b] are the (2, 2) tuples of a box.
 def _parity_sum(win):
     (w00, w01), (w10, w11) = win
     return abs(w00 + w01 + w10 + w11)
@@ -186,14 +253,14 @@ def _e_form(corr):
 
 
 def _rho_min(win, b_setting: int):
-    # fmax, like Python's max(-1.0, x), gives -1.0 for a nan x.
-    return np.fmax(-1.0, 2.0 * (win[0][b_setting] + win[1][b_setting]) - 3.0)
+    # max(-1.0, x) gives -1.0 for a nan x.
+    return max(-1.0, 2.0 * (win[0][b_setting] + win[1][b_setting]) - 3.0)
 
 
 def chsh_s_ns(box: NsBox) -> float:
     """Parity-form CHSH value: the sum over input pairs of the probability
     that A xor B = ab. Ranges over [0, 4]; 3 is the classical bound."""
-    return _parity_sum(box._win.tolist())
+    return _parity_sum(box._win)
 
 
 def chsh_e_form(box: NsBox) -> float:
@@ -204,7 +271,7 @@ def chsh_e_form(box: NsBox) -> float:
     (:func:`chsh_s_e`) also exceeds 2 for p < 0.25, where the box wins
     the complementary parity game instead.
     """
-    return _e_form(box._corr.tolist())
+    return _e_form(box._corr)
 
 
 def chsh_s_e(box: NsBox) -> float:
@@ -226,7 +293,7 @@ def rho_min_ns(box: NsBox, b_setting: int) -> float:
     """
     if b_setting not in (0, 1):
         raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
-    return float(_rho_min(box._win.tolist(), b_setting))
+    return _rho_min(box._win, b_setting)
 
 
 def rho_ci_ns(p: float) -> float:
@@ -245,13 +312,13 @@ def ci_product(box: NsBox, b_setting: int) -> float:
     """
     if b_setting not in (0, 1):
         raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
-    r0, r1 = (2.0 * box._win[:, b_setting] - 1.0).tolist()
-    return r0 * r1
+    w0, w1 = (row[b_setting] for row in box._win)
+    return (2.0 * w0 - 1.0) * (2.0 * w1 - 1.0)
 
 
 def isotropic_parameter(box: NsBox, tol: float = CONSTRAINT_TOL) -> float | None:
     """The common target probability p if the box is isotropic, else None."""
-    probs = box._win.ravel().tolist()
+    probs = [*box._win[0], *box._win[1]]
     p = math.fsum(probs) / 4.0
     if all(abs(q - p) <= tol for q in probs):
         return p
@@ -286,7 +353,7 @@ def classify_box(box: NsBox) -> BoxClassification:
     2*sqrt(2) decides, with boundaries belonging to the lower class.
     """
     s_e = chsh_s_e(box)
-    if (np.abs(box._corr) <= CONSTRAINT_TOL).all():
+    if all(abs(e) <= CONSTRAINT_TOL for row in box._corr for e in row):
         box_class = BoxClass.INDEPENDENT
     elif s_e <= 2.0:
         box_class = BoxClass.LOCAL_CORRELATED
@@ -310,7 +377,7 @@ def to_labeled_dict(box: NsBox) -> dict[str, float]:
     """Flat wire format: 16 entries keyed "P(A,B|a,b)"."""
     return {
         f"P({a_out},{b_out}|{a_in},{b_in})": box.prob(a_out, b_out, a_in, b_in)
-        for a_in, b_in, a_out, b_out in itertools.product((0, 1), repeat=4)
+        for a_in, b_in, a_out, b_out in itertools.product(_BITS, repeat=4)
     }
 
 
@@ -320,25 +387,26 @@ def from_labeled_dict(entries: dict[str, float]) -> NsBox:
     Requires exactly the 16 keys "P(A,B|a,b)" with binary indices;
     reports every missing, unknown, non-numeric, or non-finite entry.
     """
-    table = np.zeros((2, 2, 2, 2))
+    table = [0.0] * 16
     problems: list[str] = []
     for key, value in entries.items():
         match = _KEY_RE.match(key)
         if match is None:
             problems.append(f"unrecognized box entry key {key!r}")
             continue
-        a_out, b_out, a_in, b_in = (int(g) for g in match.groups())
+        # The cell's four bits, A first, are its index in table order.
+        cell = int("".join(match.groups()), 2)
         number = _finite_float(value)
         if number is None:
             problems.append(
                 f"box entry {key!r} must be a finite number, got {value!r}"
             )
             continue
-        table[a_out, b_out, a_in, b_in] = number
+        table[cell] = number
     problems.extend(
         f"missing box entry {key}" for key in _TABLE_KEYS if key not in entries
     )
     if problems:
         raise ValidationError(problems)
-    return NsBox(table)
+    return NsBox._of(table)
 

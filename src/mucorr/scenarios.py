@@ -12,15 +12,14 @@ other rows exist.
 """
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterator, NamedTuple
 
 from . import montecarlo as mc
+from . import nsbox as nsb
 from .counterfactual import (
     ORTHOGONALITY_TOL,
     info_leakage,
@@ -40,27 +39,6 @@ from .spin import (
     correlation,
     dot,
 )
-
-
-def _lazy_module(name: str):
-    """The module `name`, loaded on first attribute access if it is not
-    loaded yet."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    # Bound to its package, as an import binds it.
-    parent, _, child = name.rpartition(".")
-    setattr(sys.modules[parent], child, module)
-    return module
-
-
-# nsbox imports numpy, which takes most of the start-up time; only box
-# scenarios and isotropic sweeps need it.
-nsb = _lazy_module(f"{__package__}.nsbox")
 
 REMOTE_OPTION_NAMES = ("none", "b", "b_prime")
 SWEEP_PARAMETERS = ("theta_degrees", "isotropic_p")
@@ -770,28 +748,24 @@ def sweep_columns(scenario: Scenario) -> ColumnBlocks:
 
 
 def _sweep_blocks(sid: str, params: dict) -> Iterator[list[list]]:
-    import numpy as np
-
     start, step = float(params["start"]), float(params["step"])
     size = _grid_steps(start, float(params["stop"]), step) + 1
     a = Direction.from_degrees(float(params.get("a_degrees", 0.0)))
     a_prime = Direction.from_degrees(float(params.get("a_prime_degrees", 90.0)))
     for lo in range(0, size, _SWEEP_BLOCK):
-        # These points of grid_points(start, stop, step), bit for bit.
-        grid = start + np.arange(lo, min(lo + _SWEEP_BLOCK, size)) * step
+        # These points of grid_points(start, stop, step).
+        grid = [start + i * step for i in range(lo, min(lo + _SWEEP_BLOCK, size))]
         if params["parameter"] == "theta_degrees":
-            thetas = grid.tolist()
             rho_ci = [
                 rho_conditional_independence(Direction.from_degrees(theta), a, a_prime)
-                for theta in thetas
+                for theta in grid
             ]
-            columns = [thetas, rho_ci, [info_leakage(0.5 * (1.0 + r)) for r in rho_ci]]
+            columns = [grid, rho_ci, [info_leakage(0.5 * (1.0 + r)) for r in rho_ci]]
         else:
-            p = np.clip(grid, 0.0, 1.0)
-            columns = [column.tolist() for column in (p, *nsb.isotropic_sweep(p))]
-            # rho_ci_ns(p) without its domain check, which the clip makes moot.
-            columns.append([(2.0 * q - 1.0) ** 2 for q in columns[0]])
-        yield [[sid] * grid.size, *columns]
+            p = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in grid]
+            # rho_ci_ns(q) without its domain check, which the clip makes moot.
+            columns = [p, *nsb.isotropic_sweep(p), [(2.0 * q - 1.0) ** 2 for q in p]]
+        yield [[sid] * len(grid), *columns]
 
 
 def sweep_rows(scenario: Scenario) -> list[dict]:

@@ -113,7 +113,8 @@ FLOATS = st.floats() | st.sampled_from(
 )
 TEXTS = st.text(max_size=6) | st.sampled_from(
     ["", "a,b", 'say "hi"', "line\nbreak", "cr\r\n", "\u00fcn\u00efc\u00f6de",
-     "\u65e5\u672c", " pad ", "tab\t", "\u2028", "{}", "{0}", "\\", "\x00"]
+     "\u65e5\u672c", " pad ", "tab\t", "\u2028", "{}", "{0}", "\\", "\x00", "%", "%s",
+     "%(x)r"]
 )
 CELLS = st.none() | FLOATS | TEXTS
 
@@ -143,6 +144,7 @@ class TestRenderers:
             (["lone"], [[[""]], [[None]]]),
             (["a", "b"], [[[1.0], ["x"]], [[math.nan], ['"q"']], [[None], ["y,z"]]]),
             (["{}", 'a"b', "\u00fc", "{0}"], [[[-0.0], [math.inf], [-math.inf], ["\n"]]]),
+            (["%", "%s", "%%r"], [[[0.5, 1e300], [1e308, 1e308], [None, "%d"]]]),
             (["none", "text"], [[[None, None], ["", ""]]]),
         ):
             assert_references(headers, blocks, headers)

@@ -1,8 +1,8 @@
 """numpy is imported only by the code that computes with it.
 
 Each check runs in a fresh interpreter, since a module once imported stays
-in `sys.modules`: the spin, counterfactual and classical paths of the CLI
-never load numpy, and boxes, sweeps and Monte Carlo load it when they run.
+in `sys.modules`: the analytic paths of the CLI, boxes and sweeps included,
+never load numpy, and Monte Carlo loads it when it runs.
 """
 import json
 import os
@@ -15,7 +15,8 @@ import pytest
 
 import mucorr
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 CHSH = {
     "id": "chsh-file", "kind": "chsh",
@@ -27,7 +28,7 @@ COUNTERFACTUAL = {
     "parameters": {"theta_degrees": 30, "a_degrees": 0, "a_prime_degrees": 90},
 }
 
-#: The public names of the package before nsbox was loaded on demand.
+#: The public names of the package.
 PUBLIC_NAMES = [
     "BoxClass", "BoxClassification", "CLASSICAL_BOUND", "ChshClass",
     "CounterfactualReport", "DegenerateSequenceError", "Direction",
@@ -103,10 +104,20 @@ def test_spin_scenario_files_never_load_numpy(scenario_files, command, kind):
 
 @pytest.mark.parametrize("argv", [
     ["run", "paper-pr-box"],
-    ["run", "paper-standard", "--mc", "--samples", "1000"],
     ["sweep", "--parameter", "theta_degrees", "--start", "0", "--stop", "9", "--step", "1"],
+    ["sweep", "--parameter", "isotropic_p", "--start", "0", "--stop", "1", "--step", "0.01"],
+    ["validate", str(ROOT / "scenarios" / "pr-box-table.json")],
+    ["run", str(ROOT / "scenarios" / "pr-box-table.json"), "--format", "json"],
 ])
-def test_boxes_monte_carlo_and_sweeps_load_numpy(argv):
+def test_boxes_and_sweeps_never_load_numpy(argv):
+    assert not numpy_loaded_after(*argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "paper-standard", "--mc", "--samples", "1000"],
+    ["run", "paper-pr-box", "--mc", "--samples", "1000"],
+])
+def test_monte_carlo_loads_numpy(argv):
     assert numpy_loaded_after(*argv)
 
 

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucorr.errors import DomainError, ValidationError
 from mucorr.nsbox import (
     BoxClass,
+    BoxClassification,
     NsBox,
     chsh_e_form,
     chsh_s_e,
@@ -31,6 +32,137 @@ from mucorr.nsbox import (
 TSIRELSON_P = (2.0 + math.sqrt(2.0)) / 4.0
 
 correlator_values = st.floats(-1.0, 1.0)
+
+
+# The array core that nsbox computed with before it moved to plain floats,
+# kept as the reference that the float core must equal bit for bit.
+_OUT_A, _OUT_B, _IN_A, _IN_B = np.indices((2, 2, 2, 2))
+_REF_WIN = (_OUT_A ^ _OUT_B) == (_IN_A & _IN_B)
+
+
+def reference_rates(table):
+    same, differ = table[0, 0] + table[1, 1], table[0, 1] + table[1, 0]
+    win = same.copy()
+    win[1, 1] = differ[1, 1]
+    return win, same - differ
+
+
+def reference_rho_min(win, b_setting):
+    return float(np.fmax(-1.0, 2.0 * (win[0][b_setting] + win[1][b_setting]) - 3.0))
+
+
+def reference_ci_product(win, b_setting):
+    r0, r1 = (2.0 * win[:, b_setting] - 1.0).tolist()
+    return r0 * r1
+
+
+def reference_isotropic_parameter(win):
+    probs = win.ravel().tolist()
+    p = math.fsum(probs) / 4.0
+    return p if all(abs(q - p) <= 1e-9 for q in probs) else None
+
+
+def reference_violations(t):
+    def violations(kind, residual, where):
+        return [
+            (kind, where(*index), float(residual[index]))
+            for index in zip(*np.nonzero(residual > 1e-9))
+        ]
+
+    marginal_a, marginal_b = t.sum(axis=1), t.sum(axis=0)
+    uniform = np.abs(np.stack([marginal_a, marginal_b]) - 0.5).transpose(2, 3, 0, 1)
+    return (
+        violations("entry-range", np.maximum(-t, t - 1.0), "P({},{}|{},{})".format)
+        + violations("normalization", np.abs(t.sum(axis=(0, 1)) - 1.0),
+                     "sum P(.,.|{},{})".format)
+        + violations("no-signalling", np.abs(marginal_a[..., 0] - marginal_a[..., 1]),
+                     "P(A={}|a={}) across b".format)
+        + violations("no-signalling", np.abs(marginal_b[:, 0] - marginal_b[:, 1]),
+                     "P(B={}|b={}) across a".format)
+        + violations("uniform-marginal", uniform, lambda a_in, b_in, party, out:
+                     f"P({'AB'[party]}={out}|a={a_in},b={b_in})")
+    )
+
+
+def reference_quantities(table) -> dict:
+    """Every box quantity of the array core, by name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        win, corr = reference_rates(table)
+        (w00, w01), (w10, w11) = win.tolist()
+        (e00, e01), (e10, e11) = corr.tolist()
+        s_e = abs(e00 + e01 + e10 - e11)
+        rho_min = [reference_rho_min(win.tolist(), b) for b in (0, 1)]
+        ci = [reference_ci_product(win, b) for b in (0, 1)]
+        if (np.abs(corr) <= 1e-9).all():
+            box_class = BoxClass.INDEPENDENT
+        elif s_e <= 2.0:
+            box_class = BoxClass.LOCAL_CORRELATED
+        elif s_e <= 2.0 * math.sqrt(2.0):
+            box_class = BoxClass.QUANTUM_REGION
+        else:
+            box_class = BoxClass.SUPER_QUANTUM
+        return {
+            "win": win.tolist(),
+            "corr": corr.tolist(),
+            "chsh_s_ns": abs(w00 + w01 + w10 + w11),
+            "chsh_e_form": e00 + e01 + e10 - e11,
+            "chsh_s_e": s_e,
+            "rho_min": rho_min,
+            "ci_product": ci,
+            "classify": BoxClassification(
+                box_class, s_e > 2.0, rho_min[0] > 0.0 or rho_min[1] > 0.0,
+                ci[0] > 0.0 or ci[1] > 0.0,
+            ),
+            "violations": reference_violations(table),
+        }
+
+
+def float_quantities(box: NsBox) -> dict:
+    """The same quantities from the float core."""
+    pairs = ((0, 0), (0, 1)), ((1, 0), (1, 1))
+    return {
+        "win": [[target_probability(box, *pair) for pair in row] for row in pairs],
+        "corr": [[correlator(box, *pair) for pair in row] for row in pairs],
+        "chsh_s_ns": chsh_s_ns(box),
+        "chsh_e_form": chsh_e_form(box),
+        "chsh_s_e": chsh_s_e(box),
+        "rho_min": [rho_min_ns(box, b) for b in (0, 1)],
+        "ci_product": [ci_product(box, b) for b in (0, 1)],
+        "classify": classify_box(box),
+        "violations": [
+            (v.kind, v.where, v.residual) for v in validate_no_signalling(box)
+        ],
+    }
+
+
+def bits(value):
+    """value with every float as its hex text, so -0.0, nan and each last
+    bit count; anything else as it is."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [bits(item) for item in value]
+    return value
+
+
+def outcome(function, *args):
+    """The bits of function(*args), or the type of what it raised."""
+    try:
+        return bits(function(*args))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+#: Box entries: probabilities, values near the uniform 1/4 within a few
+#: tolerances, and any float at all, nan and the infinities included.
+ENTRIES = (
+    st.floats(0.0, 1.0)
+    | st.floats(-2e-9, 2e-9).map(lambda d: 0.25 + d)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -0.25, 1.25, math.nan, math.inf, -math.inf])
+)
 
 
 def signalling_table() -> NsBox:
@@ -80,6 +212,20 @@ class TestConstruction:
         with pytest.raises(DomainError):
             NsBox(np.zeros((2, 2, 2)))
 
+    def test_ragged_table_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"shape \(2, 2, 2, 2\)"):
+            NsBox([[1, 2], [3]])
+
+    def test_non_numeric_table_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"shape \(2, 2, 2, 2\)"):
+            NsBox("abcd")
+
+    def test_nested_lists_and_arrays_give_the_same_box(self):
+        entries = np.linspace(-1.0, 2.0, 16).reshape(2, 2, 2, 2)
+        box = NsBox(entries.tolist())
+        assert box.table.tobytes() == NsBox(entries).table.tobytes() == entries.tobytes()
+        assert box.table.shape == (2, 2, 2, 2)
+
     def test_table_is_read_only(self):
         box = make_isotropic(0.5)
         with pytest.raises(ValueError):
@@ -90,6 +236,43 @@ class TestConstruction:
         j = box.joint(0, 0)
         j[0, 0] = 9.0
         assert box.prob(0, 0, 0, 0) == 0.25
+
+
+class TestFloatCoreEqualsTheArrayCore:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(ENTRIES, min_size=16, max_size=16))
+    def test_every_quantity_and_violation_bit_for_bit(self, entries):
+        table = np.array(entries).reshape(2, 2, 2, 2)
+        box = NsBox(table.tolist())
+        assert bits(float_quantities(box)) == bits(reference_quantities(table))
+        with np.errstate(over="ignore", invalid="ignore"):
+            win = reference_rates(table)[0]
+        assert outcome(isotropic_parameter, box) == outcome(reference_isotropic_parameter, win)
+
+    @given(st.lists(correlator_values, min_size=4, max_size=4))
+    def test_correlator_boxes(self, es):
+        box = from_correlators(*es)
+        table = np.where(
+            _OUT_A == _OUT_B, (1.0 + np.array(es).reshape(2, 2)) / 4.0,
+            (1.0 - np.array(es).reshape(2, 2)) / 4.0,
+        )
+        assert box.table.tobytes() == table.tobytes()
+        assert bits(float_quantities(box)) == bits(reference_quantities(table))
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_isotropic_sweep(self, ps):
+        p = np.array(ps)
+        win, corr = reference_rates(np.where(_REF_WIN[..., None], p / 2.0, (1.0 - p) / 2.0))
+        s_ns = abs(win[0, 0] + win[0, 1] + win[1, 0] + win[1, 1])
+        s_e = abs(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1])
+        rho_min = np.fmax(-1.0, 2.0 * (win[0, 0] + win[1, 0]) - 3.0)
+        reference = [column.tolist() for column in (s_ns, s_e, rho_min)]
+        assert bits(list(isotropic_sweep(ps))) == bits(reference)
+        assert bits(list(isotropic_sweep(p))) == bits(reference)
+        for q, *values in zip(ps, *isotropic_sweep(ps)):
+            box = make_isotropic(q)
+            assert bits(values) == bits([chsh_s_ns(box), chsh_s_e(box), rho_min_ns(box, 0)])
+            assert box.table.tobytes() == np.where(_REF_WIN, q / 2.0, (1.0 - q) / 2.0).tobytes()
 
 
 class TestValidation:
