@@ -13,7 +13,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -279,7 +278,7 @@ def _apply_mc_flags(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         cfg = SampleConfig(n_samples=n, seed=seed)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    return replace(scenario, mc=cfg)
+    return scenario._replace(mc=cfg)
 
 
 def _one_block(records: list[dict]) -> ColumnBlocks:

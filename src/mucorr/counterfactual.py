@@ -16,8 +16,7 @@ happened. This module computes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DegenerateSequenceError,
@@ -185,8 +184,7 @@ def max_info_direction(a: Direction, a_prime: Direction) -> tuple[Direction, flo
     return bisector, _info_at(bisector, a, a_prime)
 
 
-@dataclass(frozen=True)
-class CounterfactualReport:
+class CounterfactualReport(NamedTuple):
     """Per-remote-option analytics for one measured/unmeasured pair.
 
     `remote_setting` of None means no remote measurement was performed,
@@ -203,8 +201,7 @@ class CounterfactualReport:
     nonlocal_flag: bool
 
 
-@dataclass(frozen=True)
-class NonlocalityVerdict:
+class NonlocalityVerdict(NamedTuple):
     """Outcome of comparing the correlation across remote options.
 
     The two inference routes are reported separately: `rho_min_route` is

@@ -15,8 +15,7 @@ CLI does for every `run`) does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateSequenceError, DomainError
 from .spin import Direction, match_probability
@@ -30,26 +29,34 @@ if TYPE_CHECKING:
 MAX_SAMPLES = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class _SampleFields(NamedTuple):
+    n_samples: int
+    seed: int
+
+
+class SampleConfig(_SampleFields):
     """Size and seed of one Monte Carlo run."""
 
-    n_samples: int = 1_000_000
-    seed: int = 42
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n_samples: int = 1_000_000, seed: int = 42) -> SampleConfig:
         # bool is an int subclass, but true is neither a count nor a seed.
-        n, seed = self.n_samples, self.seed
+        n = n_samples
         if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_SAMPLES:
             raise DomainError(
                 f"n_samples must be an integer in [1, {MAX_SAMPLES}], got {n!r}"
             )
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+        return tuple.__new__(cls, (n_samples, seed))
+
+    @classmethod
+    def _make(cls, iterable) -> SampleConfig:
+        # _replace builds through _make, so it validates too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EmpiricalEstimate:
+class EmpiricalEstimate(NamedTuple):
     """Point estimate with its standard error and sample count."""
 
     value: float

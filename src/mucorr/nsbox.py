@@ -17,8 +17,7 @@ import math
 import numbers
 import re
 import reprlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, ValidationError, _finite_float
 
@@ -180,8 +179,7 @@ def from_correlators(e00: float, e01: float, e10: float, e11: float) -> NsBox:
     ])
 
 
-@dataclass(frozen=True)
-class ConstraintViolation:
+class ConstraintViolation(NamedTuple):
     """One violated box constraint with its absolute residual."""
 
     kind: str
@@ -319,7 +317,10 @@ def ci_product(box: NsBox, b_setting: int) -> float:
 def isotropic_parameter(box: NsBox, tol: float = CONSTRAINT_TOL) -> float | None:
     """The common target probability p if the box is isotropic, else None."""
     probs = [*box._win[0], *box._win[1]]
-    p = math.fsum(probs) / 4.0
+    try:
+        p = math.fsum(probs) / 4.0
+    except (ValueError, OverflowError):  # inf + -inf, or a sum past the float range
+        return None
     if all(abs(q - p) <= tol for q in probs):
         return p
     return None
@@ -334,8 +335,7 @@ class BoxClass(enum.Enum):
     SUPER_QUANTUM = "super_quantum"
 
 
-@dataclass(frozen=True)
-class BoxClassification:
+class BoxClassification(NamedTuple):
     """Regime plus the three nonlocality-signature flags, each computed
     independently of the regime."""
 

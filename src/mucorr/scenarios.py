@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterator, NamedTuple
 
@@ -53,19 +52,37 @@ _PAIR_STREAMS = (0, 1, 2, 3)
 _OPTION_STREAM_BASE = 4
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One declarative analysis request."""
-
+class _ScenarioFields(NamedTuple):
     scenario_id: str
     kind: str
-    parameters: dict = field(default_factory=dict)
-    mc: SampleConfig | None = None
-    notes: tuple[str, ...] = ()
+    parameters: dict
+    mc: SampleConfig | None
+    notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ResultRow:
+#: The default of `Scenario.parameters`, replaced by a new dict in each scenario.
+_NEW_DICT: dict = {}
+
+
+class Scenario(_ScenarioFields):
+    """One declarative analysis request."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        scenario_id: str,
+        kind: str,
+        parameters: dict = _NEW_DICT,
+        mc: SampleConfig | None = None,
+        notes: tuple[str, ...] = (),
+    ) -> Scenario:
+        if parameters is _NEW_DICT:
+            parameters = {}
+        return tuple.__new__(cls, (scenario_id, kind, parameters, mc, notes))
+
+
+class ResultRow(NamedTuple):
     """One named quantity of a scenario run.
 
     The analytic value is always present; the mc fields are filled only

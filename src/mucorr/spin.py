@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -19,24 +19,32 @@ CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Direction:
+class _Angle(NamedTuple):
+    angle: float
+
+
+class Direction(_Angle):
     """A unit vector in the measurement plane, stored as an angle in radians.
 
     Angles are canonicalized to [0, 2*pi). Use :meth:`from_degrees` at
     external boundaries; internal arithmetic stays in radians.
     """
 
-    angle: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError(f"direction angle must be finite, got {self.angle!r}")
-        reduced = self.angle % TWO_PI
+    def __new__(cls, angle: float) -> Direction:
+        if not math.isfinite(angle):
+            raise ValueError(f"direction angle must be finite, got {angle!r}")
+        reduced = angle % TWO_PI
         # a % can round up to the modulus itself for tiny negative inputs
         if reduced >= TWO_PI:
             reduced = 0.0
-        object.__setattr__(self, "angle", reduced)
+        return tuple.__new__(cls, (reduced,))
+
+    @classmethod
+    def _make(cls, iterable) -> Direction:
+        # _replace builds through _make, so it canonicalizes too.
+        return cls(*iterable)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> Direction:
@@ -50,8 +58,7 @@ class Direction:
         return Direction(self.angle + radians)
 
 
-@dataclass(frozen=True)
-class SettingsQuad:
+class SettingsQuad(NamedTuple):
     """The four apparatus directions of a CHSH arrangement."""
 
     a: Direction

@@ -6,7 +6,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -165,7 +164,7 @@ class TestRenderers:
     def test_every_run_equals_the_references(self, capsys):
         for scenario in builtin_scenarios().values():
             for flags, mc in (([], None), (["--samples", "2000"], SampleConfig(2000, 42))):
-                records = [as_record(row) for row in run(replace(scenario, mc=mc))]
+                records = [as_record(row) for row in run(scenario._replace(mc=mc))]
                 for fmt, reference in REFERENCES.items():
                     assert run_cli(
                         capsys, "run", scenario.scenario_id, *flags, "--format", fmt,

@@ -1,4 +1,5 @@
-"""numpy is imported only by the code that computes with it.
+"""numpy is imported only by the code that computes with it, and the CLI
+starts without `dataclasses` or `inspect`.
 
 Each check runs in a fresh interpreter, since a module once imported stays
 in `sys.modules`: the analytic paths of the CLI, boxes and sweeps included,
@@ -52,15 +53,17 @@ PUBLIC_NAMES = [
 ]
 
 
-def numpy_loaded_after(*argv: str) -> bool:
-    """Whether `import mucorr.cli`, then `main(argv)` if argv is given,
-    imports numpy in a fresh interpreter. The call must exit 0."""
+def modules_loaded_by(*argv: str) -> set[str]:
+    """The modules that `import mucorr.cli`, then `main(argv)` if argv is
+    given, add to a fresh interpreter's `sys.modules`; those it started with,
+    a `site` hook's included, do not count. The call must exit 0."""
     script = (
         "import json, sys\n"
+        "preloaded = set(sys.modules)\n"
         "from mucorr.cli import main\n"
         f"argv = {json.dumps(list(argv))}\n"
         "code = main(argv) if argv else 0\n"
-        "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - preloaded)]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
@@ -69,7 +72,7 @@ def numpy_loaded_after(*argv: str) -> bool:
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, (argv, proc.stderr)
-    return loaded
+    return set(loaded)
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +96,13 @@ def scenario_files(tmp_path_factory):
     ["run", "paper-standard", "--format", "json"],
 ])
 def test_spin_and_classical_calls_never_load_numpy(argv):
-    assert not numpy_loaded_after(*argv)
+    assert "numpy" not in modules_loaded_by(*argv)
 
 
 @pytest.mark.parametrize("kind", ["chsh", "counterfactual"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_spin_scenario_files_never_load_numpy(scenario_files, command, kind):
-    assert not numpy_loaded_after(command, str(scenario_files[kind]))
+    assert "numpy" not in modules_loaded_by(command, str(scenario_files[kind]))
 
 
 @pytest.mark.parametrize("argv", [
@@ -110,7 +113,7 @@ def test_spin_scenario_files_never_load_numpy(scenario_files, command, kind):
     ["run", str(ROOT / "scenarios" / "pr-box-table.json"), "--format", "json"],
 ])
 def test_boxes_and_sweeps_never_load_numpy(argv):
-    assert not numpy_loaded_after(*argv)
+    assert "numpy" not in modules_loaded_by(*argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -118,7 +121,13 @@ def test_boxes_and_sweeps_never_load_numpy(argv):
     ["run", "paper-pr-box", "--mc", "--samples", "1000"],
 ])
 def test_monte_carlo_loads_numpy(argv):
-    assert numpy_loaded_after(*argv)
+    assert "numpy" in modules_loaded_by(*argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["run", "paper-standard"]])
+def test_cli_starts_without_dataclasses_or_inspect(argv):
+    # Each costs ~10 ms of every start; the records are named tuples.
+    assert not {"dataclasses", "inspect"} & modules_loaded_by(*argv)
 
 
 def test_public_names_are_unchanged():

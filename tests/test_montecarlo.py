@@ -55,6 +55,15 @@ class TestConfig:
             SampleConfig(n_samples=MAX_SAMPLES + 1)
         assert SampleConfig(n_samples=MAX_SAMPLES).n_samples == 2**63 - 1
 
+    def test_replace_and_make_validate(self):
+        cfg = SampleConfig(10, 1)
+        assert cfg._replace(seed=5) == SampleConfig(10, 5)
+        with pytest.raises(DomainError, match="n_samples"):
+            cfg._replace(n_samples=0)
+        with pytest.raises(DomainError, match="seed"):
+            SampleConfig._make([10, -1])
+        assert repr(SampleConfig()) == "SampleConfig(n_samples=1000000, seed=42)"
+
 
 class TestStreams:
     def test_same_seed_same_draws(self):

@@ -58,7 +58,10 @@ def reference_ci_product(win, b_setting):
 
 def reference_isotropic_parameter(win):
     probs = win.ravel().tolist()
-    p = math.fsum(probs) / 4.0
+    try:
+        p = math.fsum(probs) / 4.0
+    except (ValueError, OverflowError):
+        return None
     return p if all(abs(q - p) <= 1e-9 for q in probs) else None
 
 
@@ -408,6 +411,14 @@ class TestCiQuantities:
             0.37, abs=1e-12
         )
         assert isotropic_parameter(from_correlators(0.9, 0.0, 0.0, 0.0)) is None
+
+    def test_isotropic_parameter_of_rates_fsum_cannot_add_is_none(self):
+        both_infinities = np.full((2, 2, 2, 2), 0.25)
+        both_infinities[0, 0, 0, 0], both_infinities[0, 0, 0, 1] = math.inf, -math.inf
+        # Four rates of 1.7e308, whose sum passes the float range.
+        huge = np.full((2, 2, 2, 2), 0.85e308)
+        for table in (both_infinities, huge):
+            assert isotropic_parameter(NsBox(table.tolist())) is None
 
 
 class TestClassification:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from mucorr import nsbox as nsb
 from mucorr.cli import main
-from mucorr.counterfactual import report_for_option
+from mucorr.counterfactual import nonlocality_verdict, report_for_option
 from mucorr.errors import ValidationError
-from mucorr.montecarlo import SampleConfig
+from mucorr.montecarlo import EmpiricalEstimate, SampleConfig
 from mucorr.scenarios import (
     KINDS,
     MAX_GRID_POINTS,
@@ -29,7 +29,7 @@ from mucorr.scenarios import (
     _check_number,
     validate_scenario,
 )
-from mucorr.spin import Direction
+from mucorr.spin import Direction, standard_chsh_settings
 
 MANDATED_IDS = {
     "paper-standard",
@@ -760,3 +760,31 @@ class TestRecords:
         assert record["analytic"] == 1.25
         assert record["mc_value"] is None
         assert record["flags"] == ""
+
+    def test_scenarios_do_not_share_default_parameters(self):
+        first, second = Scenario("a", "chsh"), Scenario("b", "chsh")
+        first.parameters["a_degrees"] = 0.0
+        assert second.parameters == {}
+        assert first._replace(scenario_id="c").parameters is first.parameters
+        assert "parameters must be a mapping" in validate_scenario(Scenario("d", "chsh", None))
+        assert repr(Scenario("e", "sweep")) == (
+            "Scenario(scenario_id='e', kind='sweep', parameters={}, mc=None, notes=())"
+        )
+
+    def test_records_are_immutable_tuples(self):
+        q = standard_chsh_settings()
+        records = [
+            ResultRow("s", "q", 1.25), Scenario("a", "chsh"), Direction(1.0), q,
+            SampleConfig(), EmpiricalEstimate(0.5, 0.01, 100),
+            nsb.ConstraintViolation("normalization", "sum P(.,.|0,0)", 0.1),
+            nsb.classify_box(nsb.pr_box()), report_for_option(None, q.a, q.a_prime),
+            nonlocality_verdict(q.a, q.a_prime, [None, q.b]),
+        ]
+        for record in records:
+            assert isinstance(record, tuple)
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+            with pytest.raises(AttributeError):
+                record.extra = None
+        assert ResultRow("s", "q", 1.25) == ("s", "q", 1.25, None, None, "")
+        assert ResultRow("s", "q", 1.25)._asdict() == as_record(ResultRow("s", "q", 1.25))

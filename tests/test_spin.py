@@ -34,6 +34,15 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction(math.inf)
 
+    def test_replace_and_make_canonicalize(self):
+        d = Direction(1.0)
+        assert d._replace(angle=100.0) == Direction(100.0)
+        assert d._replace(angle=100.0).angle == 100.0 % (2.0 * math.pi)
+        assert Direction._make([-math.pi / 2.0]).degrees == pytest.approx(270.0)
+        with pytest.raises(ValueError, match="finite"):
+            d._replace(angle=math.inf)
+        assert repr(Direction(0.5)) == "Direction(angle=0.5)"
+
     def test_rotated_quarter_turn_is_orthogonal(self):
         d = Direction.from_degrees(30.0)
         assert abs(dot(d, d.rotated(math.pi / 2.0))) < 1e-15
