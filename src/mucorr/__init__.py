@@ -11,20 +11,15 @@ from .counterfactual import (
     NonlocalityVerdict,
     binary_entropy,
     info_leakage,
-    info_scan,
     max_info_direction,
     nonlocality_verdict,
-    overlap_lower_bound,
-    pearson_pm1,
     report_for_option,
-    rho_ci_general_direction,
     rho_conditional_independence,
     rho_min_quantum,
 )
 from .errors import (
     DegenerateSequenceError,
     DomainError,
-    LengthMismatchError,
     NotOrthogonalError,
     ValidationError,
 )
@@ -53,11 +48,9 @@ from .nsbox import (
     from_labeled_dict,
     isotropic_parameter,
     make_isotropic,
-    pr_box,
     rho_ci_ns,
     rho_min_ns,
     target_probability,
-    to_labeled_dict,
     validate_no_signalling,
 )
 from .scenarios import (
@@ -79,8 +72,6 @@ from .spin import (
     classify_chsh,
     correlation,
     match_probability,
-    modified_settings_55_35,
-    standard_chsh_settings,
 )
 
 __version__ = "0.2.0"

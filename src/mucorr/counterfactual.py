@@ -5,7 +5,6 @@ was never performed, the outcomes of the unperformed measurement can still
 be constrained once a remote measurement along `theta` is known to have
 happened. This module computes:
 
-* the empirical Pearson coefficient between two +/-1 outcome sequences,
 * the assumption-free lower bound on the measured/unmeasured correlation
   (an overlap bound on match rates against the shared remote outcomes),
 * the conditional-independence (CI) product value of that correlation,
@@ -16,86 +15,27 @@ happened. This module computes:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .errors import (
-    DegenerateSequenceError,
-    DomainError,
-    LengthMismatchError,
-    NotOrthogonalError,
-)
+from .errors import DomainError, NotOrthogonalError
 from .spin import Direction, correlation, match_probability, dot
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ORTHOGONALITY_TOL = 1e-12
 #: Two CI correlations are "different" if they differ by more than this.
 CI_DIFFERENCE_TOL = 1e-12
 
 
-def as_outcomes(values) -> np.ndarray:
-    """Validate and convert a +/-1 outcome sequence to an int8 array."""
-    import numpy as np
-
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("outcome sequence must be a non-empty 1-d sequence")
-    if not np.all(np.isin(arr, (-1, 1))):
-        raise DomainError("outcome sequence entries must be +1 or -1")
-    return arr.astype(np.int8)
-
-
-def pearson_pm1(m, u) -> float:
-    """Full empirical Pearson coefficient of two +/-1 sequences.
-
-    Means and deviations are estimated from the data rather than assumed
-    to be 0 and 1, so finite samples of fair coins are handled correctly.
-
-    Raises LengthMismatchError for unequal lengths and
-    DegenerateSequenceError when either sequence is constant (zero
-    variance), which includes any length-1 sequence.
-    """
-    import numpy as np
-
-    m_arr = as_outcomes(m)
-    u_arr = as_outcomes(u)
-    if m_arr.size != u_arr.size:
-        raise LengthMismatchError(
-            f"sequence lengths differ: {m_arr.size} vs {u_arr.size}"
-        )
-    m_c = m_arr - m_arr.mean()
-    u_c = u_arr - u_arr.mean()
-    m_ss = float(np.dot(m_c, m_c))
-    u_ss = float(np.dot(u_c, u_c))
-    if m_ss == 0.0 or u_ss == 0.0:
-        raise DegenerateSequenceError("constant sequence has no correlation")
-    return float(np.dot(m_c, u_c)) / math.sqrt(m_ss * u_ss)
-
-
-def overlap_lower_bound(p1: float, p2: float) -> float:
-    """Minimum overlap of two events with match rates p1, p2 against a
-    common reference: max(0, p1 + p2 - 1).
-
-    The raw two-event bound can go negative, which carries no constraint,
-    so it is clamped at 0.
-    """
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-        raise DomainError(f"match rates must lie in [0, 1], got {p1!r}, {p2!r}")
-    return max(0.0, p1 + p2 - 1.0)
-
-
 def rho_min_quantum(theta: Direction, a: Direction, a_prime: Direction) -> float:
     """Assumption-free lower bound on the measured/unmeasured correlation.
 
     Both local outcome sets must match the remote `theta` outcomes at
-    their quantum match rates; the overlap bound on those rates forces a
-    minimum mutual match rate, hence a minimum correlation. Vacuous
+    their quantum match rates p1, p2, so they match each other at a rate
+    of at least max(0, p1 + p2 - 1), hence a minimum correlation. Vacuous
     bounds floor at -1.
     """
     p1 = match_probability(theta, a)
     p2 = match_probability(theta, a_prime)
-    return 2.0 * overlap_lower_bound(p1, p2) - 1.0
+    return 2.0 * max(0.0, p1 + p2 - 1.0) - 1.0
 
 
 def rho_conditional_independence(
@@ -108,17 +48,6 @@ def rho_conditional_independence(
     remote-local correlations.
     """
     return correlation(theta, a) * correlation(theta, a_prime)
-
-
-def rho_ci_general_direction(c_dot_a: float) -> float:
-    """CI correlation for a remote direction with given dot product onto `a`,
-    assuming a' orthogonal to a and all directions coplanar.
-
-    Equals x*sqrt(1 - x^2); maximal value 0.5 at x = 1/sqrt(2).
-    """
-    if not -1.0 <= c_dot_a <= 1.0:
-        raise DomainError(f"dot product must lie in [-1, 1], got {c_dot_a!r}")
-    return c_dot_a * math.sqrt(1.0 - c_dot_a * c_dot_a)
 
 
 def binary_entropy(x: float) -> float:
@@ -143,45 +72,17 @@ def _require_orthogonal(a: Direction, a_prime: Direction) -> None:
         )
 
 
-def _info_at(theta: Direction, a: Direction, a_prime: Direction) -> float:
-    rho = rho_conditional_independence(theta, a, a_prime)
-    return info_leakage(0.5 * (1.0 + rho))
-
-
-def info_scan(
-    a: Direction, a_prime: Direction, step_degrees: float = 0.01
-) -> list[tuple[float, float]]:
-    """CI information leakage on a grid of remote angles between a and a'.
-
-    Returns (theta_degrees, info_bits) pairs; theta runs from a to a'
-    along the shorter arc, inclusive.
-    """
-    if step_degrees <= 0.0:
-        raise DomainError("step_degrees must be positive")
-    arc = math.degrees(
-        (a_prime.angle - a.angle + math.pi) % (2.0 * math.pi) - math.pi
-    )
-    n_steps = max(1, round(abs(arc) / step_degrees))
-    start = a.degrees
-    out = []
-    for i in range(n_steps + 1):
-        offset = math.copysign(min(i * step_degrees, abs(arc)), arc)
-        theta_deg = start + offset
-        theta = Direction.from_degrees(theta_deg)
-        out.append((theta_deg, _info_at(theta, a, a_prime)))
-    return out
-
-
 def max_info_direction(a: Direction, a_prime: Direction) -> tuple[Direction, float]:
     """Remote direction maximizing the CI information leakage, with its bits.
 
     The maximum sits at the bisector of a and a' (CI correlation 0.5,
-    match rate 0.75); :func:`info_scan` gives the grid to check it against.
+    match rate 0.75).
     """
     _require_orthogonal(a, a_prime)
     arc = (a_prime.angle - a.angle + math.pi) % (2.0 * math.pi) - math.pi
     bisector = Direction(a.angle + 0.5 * arc)
-    return bisector, _info_at(bisector, a, a_prime)
+    rho = rho_conditional_independence(bisector, a, a_prime)
+    return bisector, info_leakage(0.5 * (1.0 + rho))
 
 
 class CounterfactualReport(NamedTuple):

@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """An input lies outside the mathematically valid domain."""
 
 
-class LengthMismatchError(ValueError):
-    """Two paired sequences have different lengths."""
-
-
 class DegenerateSequenceError(ValueError):
     """A sequence has zero variance, so a correlation is undefined."""
 

@@ -215,7 +215,8 @@ def estimate_ns_pair(
     The target rate is P(A xor B = ab); the correlator estimate is its
     linear image 2 * P(A = B) - 1.
     """
-    n00, n01, n10, n11 = sample_counts(box.joint(a_in, b_in), cfg, stream_index)
+    table = [box.prob(A, B, a_in, b_in) for A in (0, 1) for B in (0, 1)]
+    n00, n01, n10, n11 = sample_counts(table, cfg, stream_index)
     n = cfg.n_samples
     same = estimate_event_rate(n00 + n11, n)
     rate = same if a_in * b_in == 0 else estimate_event_rate(n01 + n10, n)

@@ -6,8 +6,7 @@ and marginals independent of the remote input (no-signalling). The target
 parity for inputs (a, b) is the product ab: the winning event is
 A xor B = ab. Every box quantity reads two-cell sums of the table over
 (A, B). A box holds its 16 entries as Python floats and computes with
-plain arithmetic; only the array views `NsBox.table` and `NsBox.joint`
-import numpy.
+plain arithmetic.
 """
 from __future__ import annotations
 
@@ -17,12 +16,9 @@ import math
 import numbers
 import re
 import reprlib
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, ValidationError, _finite_float
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CONSTRAINT_TOL = 1e-9
 
@@ -74,24 +70,9 @@ class NsBox:
     def __repr__(self) -> str:
         return f"NsBox({self._t!r})"
 
-    @property
-    def table(self) -> np.ndarray:
-        """The entries as a read-only (2, 2, 2, 2) array, built on each access."""
-        import numpy as np
-
-        arr = np.array(self._t)
-        arr.setflags(write=False)
-        return arr
-
     def prob(self, a_out: int, b_out: int, a_in: int, b_in: int) -> float:
         """P(A=a_out, B=b_out | a=a_in, b=b_in)."""
         return self._t[a_out][b_out][a_in][b_in]
-
-    def joint(self, a_in: int, b_in: int) -> np.ndarray:
-        """The 2x2 output distribution for one input pair, as a new array."""
-        import numpy as np
-
-        return np.array([[self._t[A][B][a_in][b_in] for B in _BITS] for A in _BITS])
 
 
 def _nested(value, depth: int):
@@ -155,11 +136,6 @@ def isotropic_sweep(p) -> tuple[list[float], list[float], list[float]]:
         floor = 2.0 * (win + win) - 3.0
         rho_min.append(floor if floor > -1.0 else -1.0)
     return s_ns, s_e, rho_min
-
-
-def pr_box() -> NsBox:
-    """The extremal no-signalling box: target parity always satisfied."""
-    return make_isotropic(1.0)
 
 
 def from_correlators(e00: float, e01: float, e10: float, e11: float) -> NsBox:
@@ -371,14 +347,6 @@ def classify_box(box: NsBox) -> BoxClassification:
             ci_product(box, 0) > 0.0 or ci_product(box, 1) > 0.0
         ),
     )
-
-
-def to_labeled_dict(box: NsBox) -> dict[str, float]:
-    """Flat wire format: 16 entries keyed "P(A,B|a,b)"."""
-    return {
-        f"P({a_out},{b_out}|{a_in},{b_in})": box.prob(a_out, b_out, a_in, b_in)
-        for a_in, b_in, a_out, b_out in itertools.product(_BITS, repeat=4)
-    }
 
 
 def from_labeled_dict(entries: dict[str, float]) -> NsBox:

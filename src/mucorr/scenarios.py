@@ -234,6 +234,12 @@ def _validate_chsh(params: dict, problems: list[str]) -> None:
                         f"parameters.remote_options entries must be one of "
                         f"{REMOTE_OPTION_NAMES}, got {opt!r}"
                     )
+            for name in REMOTE_OPTION_NAMES:
+                if options.count(name) > 1:
+                    problems.append(
+                        f"parameters.remote_options lists {name!r} "
+                        f"{options.count(name)} times; each option may appear once"
+                    )
     if "annotation" in params and not isinstance(params["annotation"], str):
         problems.append("parameters.annotation must be a string")
     if "assume_ci" in params and not isinstance(params["assume_ci"], bool):

@@ -86,34 +86,6 @@ def match_probability(alpha: Direction, beta: Direction) -> float:
     return 0.5 * (1.0 + correlation(alpha, beta))
 
 
-def standard_chsh_settings() -> SettingsQuad:
-    """The maximally violating arrangement: a=0, a'=90, b=45, b'=135 degrees.
-
-    Gives a.b = a'.b = a'.b' = 1/sqrt(2), a.b' = -1/sqrt(2), and a CHSH
-    value of 2*sqrt(2).
-    """
-    return SettingsQuad(
-        a=Direction.from_degrees(0.0),
-        a_prime=Direction.from_degrees(90.0),
-        b=Direction.from_degrees(45.0),
-        b_prime=Direction.from_degrees(135.0),
-    )
-
-
-def modified_settings_55_35() -> SettingsQuad:
-    """Standard arrangement with b' moved to 55 degrees from a (35 from a').
-
-    This keeps a, a', b unchanged and puts the CHSH value below the
-    classical bound of 2.
-    """
-    return SettingsQuad(
-        a=Direction.from_degrees(0.0),
-        a_prime=Direction.from_degrees(90.0),
-        b=Direction.from_degrees(45.0),
-        b_prime=Direction.from_degrees(55.0),
-    )
-
-
 def chsh_s(q: SettingsQuad) -> float:
     """CHSH combination |E(a,b) - E(a,b') + E(a',b) + E(a',b')|."""
     return abs(

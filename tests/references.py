@@ -1,0 +1,23 @@
+"""Views that the tests build from the public API: the flat wire format of
+a box and the settings quad of a built-in CHSH scenario."""
+import itertools
+
+from mucorr.scenarios import builtin_scenarios
+from mucorr.spin import Direction, SettingsQuad
+
+
+def to_labeled_dict(box) -> dict[str, float]:
+    """Flat wire format: 16 entries keyed "P(A,B|a,b)", inputs outermost."""
+    return {
+        f"P({A},{B}|{a},{b})": box.prob(A, B, a, b)
+        for a, b, A, B in itertools.product((0, 1), repeat=4)
+    }
+
+
+def builtin_quad(scenario_id: str) -> SettingsQuad:
+    """The four directions of a built-in chsh scenario."""
+    params = builtin_scenarios()[scenario_id].parameters
+    return SettingsQuad(*(
+        Direction.from_degrees(params[key])
+        for key in ("a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees")
+    ))

@@ -1,31 +1,25 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mucorr.counterfactual import (
-    as_outcomes,
     binary_entropy,
     info_leakage,
-    info_scan,
     max_info_direction,
     nonlocality_verdict,
-    overlap_lower_bound,
-    pearson_pm1,
     report_for_option,
-    rho_ci_general_direction,
     rho_conditional_independence,
     rho_min_quantum,
 )
 from mucorr.errors import (
     DegenerateSequenceError,
     DomainError,
-    LengthMismatchError,
     NotOrthogonalError,
 )
-from mucorr.spin import Direction, correlation
+from mucorr.montecarlo import estimate_correlation
+from mucorr.spin import Direction, correlation, match_probability
 
 A_DIR = Direction.from_degrees(0.0)
 A_PRIME_DIR = Direction.from_degrees(90.0)
@@ -34,68 +28,77 @@ outcome_lists = st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=64)
 probabilities = st.floats(0.0, 1.0)
 
 
+def pearson(m, u) -> float:
+    """Pearson coefficient of two +/-1 sequences, as `estimate_correlation`
+    computes it from their cell counts (++, +-, -+, --)."""
+    pairs = list(zip(m, u))
+    cells = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    return estimate_correlation(tuple(pairs.count(cell) for cell in cells)).value
+
+
+def rho_ci_reference(x: float) -> float:
+    """CI correlation for a remote direction with dot product x onto a, with
+    a' orthogonal to a and all directions coplanar: x sqrt(1 - x^2)."""
+    return x * math.sqrt(1.0 - x * x)
+
+
 class TestPearson:
+    """The sample correlation of measured and unmeasured +/-1 outcomes."""
+
     def test_perfect_and_anti_correlation(self):
-        m = np.array([1, -1, 1, 1, -1])
-        assert pearson_pm1(m, m) == 1.0
-        assert pearson_pm1(m, -m) == -1.0
+        m = [1, -1, 1, 1, -1]
+        assert pearson(m, m) == 1.0
+        assert pearson(m, [-x for x in m]) == -1.0
 
     def test_hand_value(self):
         # matches on 3 of 4 fair entries: rho = 2*(3/4) - 1
         m = [1, 1, -1, -1]
         u = [1, 1, -1, 1]
-        assert pearson_pm1(m, u) == pytest.approx(0.5773502691896258)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            pearson_pm1([1, -1], [1, -1, 1])
+        assert pearson(m, u) == pytest.approx(0.5773502691896258)
 
     def test_degenerate_sequences(self):
         with pytest.raises(DegenerateSequenceError):
-            pearson_pm1([1, 1, 1], [1, -1, 1])
+            pearson([1, 1, 1], [1, -1, 1])
         with pytest.raises(DegenerateSequenceError):
-            pearson_pm1([1], [-1])
-
-    def test_rejects_values_outside_pm1(self):
-        with pytest.raises(DomainError):
-            as_outcomes([1, 0, -1])
-        with pytest.raises(DomainError):
-            as_outcomes([])
+            pearson([1], [-1])
 
     @given(outcome_lists, outcome_lists)
     def test_bounded_and_symmetric(self, m, u):
         n = min(len(m), len(u))
         m, u = m[:n], u[:n]
         assume(len(set(m)) == 2 and len(set(u)) == 2)
-        r = pearson_pm1(m, u)
+        r = pearson(m, u)
         assert -1.0 <= r <= 1.0
-        assert pearson_pm1(u, m) == pytest.approx(r, abs=1e-12)
+        assert pearson(u, m) == pytest.approx(r, abs=1e-12)
 
     @given(outcome_lists)
     def test_sign_flip_negates(self, m):
         assume(len(set(m)) == 2)
         u = [-x for x in m]
-        assert pearson_pm1(m, u) == -1.0
+        assert pearson(m, u) == -1.0
 
 
 class TestOverlapBound:
+    """rho_min is the overlap floor max(0, p1 + p2 - 1) on the match rates
+    p1, p2 of a and a' to theta, as a correlation."""
+
     def test_values(self):
-        assert overlap_lower_bound(0.5, 0.5) == 0.0
-        assert overlap_lower_bound(0.9, 0.9) == pytest.approx(0.8)
-        assert overlap_lower_bound(1.0, 1.0) == 1.0
-        assert overlap_lower_bound(0.2, 0.3) == 0.0
+        assert rho_min_quantum(A_DIR, A_DIR, A_DIR) == 1.0  # p1 = p2 = 1
+        assert rho_min_quantum(A_PRIME_DIR, A_DIR, A_DIR) == -1.0  # p1 = p2 = 0.5
+        near = Direction(math.acos(0.8))  # p1 = p2 = 0.9
+        assert rho_min_quantum(near, A_DIR, A_DIR) == pytest.approx(0.6)
+        # p1 = 0 and p2 = 0.5: the raw bound is negative and clamps
+        assert rho_min_quantum(Direction.from_degrees(180.0), A_DIR, A_PRIME_DIR) == -1.0
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            overlap_lower_bound(1.2, 0.5)
-        with pytest.raises(DomainError):
-            overlap_lower_bound(0.5, -0.1)
-
-    @given(probabilities, probabilities)
-    def test_properties(self, p1, p2):
-        v = overlap_lower_bound(p1, p2)
-        assert 0.0 <= v <= min(p1, p2) + 1e-15
-        assert v == overlap_lower_bound(p2, p1)
+    @given(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0))
+    def test_properties(self, theta_deg, a_prime_deg):
+        theta = Direction.from_degrees(theta_deg)
+        a_prime = Direction.from_degrees(a_prime_deg)
+        p1, p2 = match_probability(theta, A_DIR), match_probability(theta, a_prime)
+        v = rho_min_quantum(theta, A_DIR, a_prime)
+        assert v == 2.0 * max(0.0, p1 + p2 - 1.0) - 1.0
+        assert -1.0 <= v <= 2.0 * min(p1, p2) - 1.0 + 1e-15
+        assert v == rho_min_quantum(theta, a_prime, A_DIR)
 
 
 class TestRhoMin:
@@ -133,27 +136,30 @@ class TestRhoCi:
         assert v == 0.46984631039295427
 
     def test_general_direction_maximum(self):
-        assert rho_ci_general_direction(1.0 / math.sqrt(2.0)) == pytest.approx(
-            0.5, abs=1e-12
-        )
-        assert rho_ci_general_direction(0.0) == 0.0
-        assert rho_ci_general_direction(1.0) == 0.0
-        with pytest.raises(DomainError):
-            rho_ci_general_direction(1.5)
+        def rho_ci_at(degrees):
+            return rho_conditional_independence(
+                Direction.from_degrees(degrees), A_DIR, A_PRIME_DIR
+            )
+
+        assert rho_ci_at(45.0) == pytest.approx(0.5, abs=1e-12)
+        assert rho_ci_at(45.0) == pytest.approx(rho_ci_reference(0.5 ** 0.5), abs=1e-15)
+        assert rho_ci_at(0.0) == pytest.approx(0.0, abs=1e-16)
+        assert rho_ci_at(90.0) == pytest.approx(0.0, abs=1e-16)
 
     @given(st.floats(0.0, 90.0))
     def test_general_direction_agrees_with_product(self, theta_deg):
         theta = Direction.from_degrees(theta_deg)
-        via_dot = rho_ci_general_direction(correlation(theta, A_DIR))
+        via_dot = rho_ci_reference(correlation(theta, A_DIR))
         via_product = rho_conditional_independence(theta, A_DIR, A_PRIME_DIR)
         # x*sqrt(1-x^2) cancels near x=1, so the agreement degrades as
         # theta approaches 0; away from that seam it is tight
         tol = 1e-12 if theta_deg >= 1.0 else 3e-8
         assert via_dot == pytest.approx(via_product, abs=tol)
 
-    @given(st.floats(-1.0, 1.0))
-    def test_general_direction_never_exceeds_half(self, x):
-        assert rho_ci_general_direction(x) <= 0.5 + 1e-15
+    @given(st.floats(-720.0, 720.0))
+    def test_general_direction_never_exceeds_half(self, theta_deg):
+        theta = Direction.from_degrees(theta_deg)
+        assert abs(rho_conditional_independence(theta, A_DIR, A_PRIME_DIR)) <= 0.5 + 1e-15
 
 
 class TestEntropyAndInfo:
@@ -182,21 +188,15 @@ class TestEntropyAndInfo:
 
 
 class TestInfoScan:
-    def test_grid_endpoints_inclusive(self):
-        scan = info_scan(A_DIR, A_PRIME_DIR, step_degrees=1.0)
-        assert len(scan) == 91
-        assert scan[0][0] == 0.0
-        assert scan[-1][0] == 90.0
-
     def test_maximum_on_grid_is_the_bisector(self):
-        scan = info_scan(A_DIR, A_PRIME_DIR, step_degrees=1.0)
+        # The CI leakage on a 1-degree grid of remote angles from a to a'.
+        scan = [
+            (theta.degrees, report_for_option(theta, A_DIR, A_PRIME_DIR).info_bits)
+            for theta in map(Direction.from_degrees, range(91))
+        ]
         best_theta, best_bits = max(scan, key=lambda pair: pair[1])
         assert best_theta == 45.0
         assert best_bits == 0.18872187554086717
-
-    def test_step_must_be_positive(self):
-        with pytest.raises(DomainError):
-            info_scan(A_DIR, A_PRIME_DIR, step_degrees=0.0)
 
     def test_max_info_direction(self):
         theta, bits = max_info_direction(A_DIR, A_PRIME_DIR)

@@ -1,10 +1,12 @@
-"""numpy is imported only by the code that computes with it, and the CLI
-starts without `dataclasses` or `inspect`.
+"""numpy is imported only by Monte Carlo, and the CLI starts without
+`dataclasses` or `inspect`.
 
-Each check runs in a fresh interpreter, since a module once imported stays
+A scan of the sources finds numpy imported in `montecarlo` alone. Each
+call check runs in a fresh interpreter, since a module once imported stays
 in `sys.modules`: the analytic paths of the CLI, boxes and sweeps included,
 never load numpy, and Monte Carlo loads it when it runs.
 """
+import ast
 import json
 import os
 import subprocess
@@ -33,24 +35,36 @@ COUNTERFACTUAL = {
 PUBLIC_NAMES = [
     "BoxClass", "BoxClassification", "CLASSICAL_BOUND", "ChshClass",
     "CounterfactualReport", "DegenerateSequenceError", "Direction",
-    "DomainError", "EmpiricalEstimate", "LengthMismatchError",
-    "NonlocalityVerdict", "NotOrthogonalError", "NsBox", "ResultRow",
-    "SampleConfig", "Scenario", "SettingsQuad", "TSIRELSON_BOUND",
-    "ValidationError", "binary_entropy", "builtin_scenarios", "chsh_e_form",
-    "chsh_s", "chsh_s_e", "chsh_s_ns", "ci_product", "classify_box",
-    "classify_chsh", "correlation", "correlator", "estimate_ci_correlation",
-    "estimate_coin_correlation", "estimate_ns_pair",
+    "DomainError", "EmpiricalEstimate", "NonlocalityVerdict",
+    "NotOrthogonalError", "NsBox", "ResultRow", "SampleConfig", "Scenario",
+    "SettingsQuad", "TSIRELSON_BOUND", "ValidationError", "binary_entropy",
+    "builtin_scenarios", "chsh_e_form", "chsh_s", "chsh_s_e", "chsh_s_ns",
+    "ci_product", "classify_box", "classify_chsh", "correlation", "correlator",
+    "estimate_ci_correlation", "estimate_coin_correlation", "estimate_ns_pair",
     "estimate_pair_correlation", "estimate_shapes_correlation",
-    "from_correlators", "from_labeled_dict", "info_leakage", "info_scan",
+    "from_correlators", "from_labeled_dict", "info_leakage",
     "isotropic_parameter", "load_scenario_file", "make_isotropic",
-    "match_probability", "max_info_direction", "modified_settings_55_35",
-    "nonlocality_verdict", "overlap_lower_bound", "pearson_pm1", "pr_box",
-    "report_for_option", "rho_ci_general_direction", "rho_ci_ns",
-    "rho_conditional_independence", "rho_min_ns", "rho_min_quantum", "run",
-    "shapes_rho", "standard_chsh_settings", "substream", "sweep_rows",
-    "target_probability", "to_labeled_dict", "validate_no_signalling",
+    "match_probability", "max_info_direction", "nonlocality_verdict",
+    "report_for_option", "rho_ci_ns", "rho_conditional_independence",
+    "rho_min_ns", "rho_min_quantum", "run", "shapes_rho", "substream",
+    "sweep_rows", "target_probability", "validate_no_signalling",
     "validate_scenario",
 ]
+
+
+def imports_numpy(path: Path) -> bool:
+    """Whether a module has `import numpy` or `from numpy ...` anywhere,
+    a function body or an `if TYPE_CHECKING:` block included."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
 
 
 def modules_loaded_by(*argv: str) -> set[str]:
@@ -128,6 +142,12 @@ def test_monte_carlo_loads_numpy(argv):
 def test_cli_starts_without_dataclasses_or_inspect(argv):
     # Each costs ~10 ms of every start; the records are named tuples.
     assert not {"dataclasses", "inspect"} & modules_loaded_by(*argv)
+
+
+def test_only_montecarlo_imports_numpy():
+    modules = sorted(SRC.glob("mucorr/*.py"))
+    importers = [path.name for path in modules if imports_numpy(path)]
+    assert importers == ["montecarlo.py"]
 
 
 def test_public_names_are_unchanged():

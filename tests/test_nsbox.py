@@ -21,13 +21,13 @@ from mucorr.nsbox import (
     isotropic_parameter,
     isotropic_sweep,
     make_isotropic,
-    pr_box,
     rho_ci_ns,
     rho_min_ns,
     target_probability,
-    to_labeled_dict,
     validate_no_signalling,
 )
+
+from references import to_labeled_dict
 
 TSIRELSON_P = (2.0 + math.sqrt(2.0)) / 4.0
 
@@ -38,6 +38,12 @@ correlator_values = st.floats(-1.0, 1.0)
 # kept as the reference that the float core must equal bit for bit.
 _OUT_A, _OUT_B, _IN_A, _IN_B = np.indices((2, 2, 2, 2))
 _REF_WIN = (_OUT_A ^ _OUT_B) == (_IN_A & _IN_B)
+
+
+def table_of(box: NsBox) -> np.ndarray:
+    """The entries of a box as a (2, 2, 2, 2) array indexed [A, B, a, b]."""
+    entries = [box.prob(*cell) for cell in np.ndindex(2, 2, 2, 2)]
+    return np.array(entries).reshape(2, 2, 2, 2)
 
 
 def reference_rates(table):
@@ -183,15 +189,15 @@ def signalling_table() -> NsBox:
 class TestConstruction:
     def test_isotropic_half_is_flat(self):
         box = make_isotropic(0.5)
-        assert np.all(box.table == 0.25)
+        assert np.all(table_of(box) == 0.25)
 
     def test_pr_box_pattern(self):
-        box = pr_box()
+        box = make_isotropic(1.0)
         assert box.prob(0, 0, 0, 0) == 0.5
         assert box.prob(0, 1, 0, 0) == 0.0
         assert box.prob(0, 1, 1, 1) == 0.5
         assert box.prob(0, 0, 1, 1) == 0.0
-        assert np.array_equal(box.table, make_isotropic(1.0).table)
+        assert table_of(box).tobytes() == np.where(_REF_WIN, 0.5, 0.0).tobytes()
 
     def test_isotropic_domain(self):
         with pytest.raises(DomainError):
@@ -226,19 +232,7 @@ class TestConstruction:
     def test_nested_lists_and_arrays_give_the_same_box(self):
         entries = np.linspace(-1.0, 2.0, 16).reshape(2, 2, 2, 2)
         box = NsBox(entries.tolist())
-        assert box.table.tobytes() == NsBox(entries).table.tobytes() == entries.tobytes()
-        assert box.table.shape == (2, 2, 2, 2)
-
-    def test_table_is_read_only(self):
-        box = make_isotropic(0.5)
-        with pytest.raises(ValueError):
-            box.table[0, 0, 0, 0] = 1.0
-
-    def test_joint_is_a_copy(self):
-        box = make_isotropic(0.5)
-        j = box.joint(0, 0)
-        j[0, 0] = 9.0
-        assert box.prob(0, 0, 0, 0) == 0.25
+        assert table_of(box).tobytes() == table_of(NsBox(entries)).tobytes() == entries.tobytes()
 
 
 class TestFloatCoreEqualsTheArrayCore:
@@ -259,7 +253,7 @@ class TestFloatCoreEqualsTheArrayCore:
             _OUT_A == _OUT_B, (1.0 + np.array(es).reshape(2, 2)) / 4.0,
             (1.0 - np.array(es).reshape(2, 2)) / 4.0,
         )
-        assert box.table.tobytes() == table.tobytes()
+        assert table_of(box).tobytes() == table.tobytes()
         assert bits(float_quantities(box)) == bits(reference_quantities(table))
 
     @given(st.lists(st.floats(0.0, 1.0), max_size=40))
@@ -275,7 +269,7 @@ class TestFloatCoreEqualsTheArrayCore:
         for q, *values in zip(ps, *isotropic_sweep(ps)):
             box = make_isotropic(q)
             assert bits(values) == bits([chsh_s_ns(box), chsh_s_e(box), rho_min_ns(box, 0)])
-            assert box.table.tobytes() == np.where(_REF_WIN, q / 2.0, (1.0 - q) / 2.0).tobytes()
+            assert table_of(box).tobytes() == np.where(_REF_WIN, q / 2.0, (1.0 - q) / 2.0).tobytes()
 
 
 class TestValidation:
@@ -350,14 +344,14 @@ class TestValidation:
 
 class TestChshForms:
     def test_parity_form_values(self):
-        assert chsh_s_ns(pr_box()) == 4.0
+        assert chsh_s_ns(make_isotropic(1.0)) == 4.0
         assert chsh_s_ns(make_isotropic(0.75)) == 3.0
         assert chsh_s_ns(make_isotropic(0.5)) == 2.0
 
     def test_correlator_form_values(self):
         assert chsh_s_e(make_isotropic(0.75)) == pytest.approx(2.0, abs=1e-12)
         assert chsh_s_e(make_isotropic(0.5)) == pytest.approx(0.0, abs=1e-12)
-        assert chsh_s_e(pr_box()) == 4.0
+        assert chsh_s_e(make_isotropic(1.0)) == 4.0
 
     def test_tsirelson_point(self):
         assert abs(chsh_s_e(make_isotropic(TSIRELSON_P)) - 2.0 * math.sqrt(2.0)) <= 1e-12
@@ -374,8 +368,8 @@ class TestChshForms:
 class TestRhoMinNs:
     def test_pr_box_both_settings(self):
         # without the (1,1) target flip the b=1 bound would be vacuous
-        assert rho_min_ns(pr_box(), 0) == 1.0
-        assert rho_min_ns(pr_box(), 1) == 1.0
+        assert rho_min_ns(make_isotropic(1.0), 0) == 1.0
+        assert rho_min_ns(make_isotropic(1.0), 1) == 1.0
 
     def test_isotropic_values(self):
         assert rho_min_ns(make_isotropic(0.8), 0) == pytest.approx(0.2, abs=1e-12)
@@ -389,7 +383,7 @@ class TestRhoMinNs:
 
     def test_b_setting_domain(self):
         with pytest.raises(DomainError):
-            rho_min_ns(pr_box(), 2)
+            rho_min_ns(make_isotropic(1.0), 2)
 
 
 class TestCiQuantities:
@@ -471,7 +465,7 @@ class TestWireFormat:
             for A in (0, 1) for B in (0, 1) for a in (0, 1) for b in (0, 1)
         }
         back = from_labeled_dict(entries)
-        assert np.array_equal(back.table, box.table)
+        assert np.array_equal(table_of(back), table_of(box))
 
     def test_decimal_entries_survive(self):
         entries = to_labeled_dict(make_isotropic(0.5))
@@ -483,7 +477,7 @@ class TestWireFormat:
         assert back.prob(1, 1, 0, 0) == 0.376543210988
 
     def test_missing_and_unknown_keys_all_reported(self):
-        entries = to_labeled_dict(pr_box())
+        entries = to_labeled_dict(make_isotropic(1.0))
         del entries["P(0,0|0,0)"]
         del entries["P(1,0|1,1)"]
         entries["P(2,0|0,0)"] = 0.1
@@ -496,7 +490,7 @@ class TestWireFormat:
         assert any("P(2,0|0,0)" in m for m in messages)
 
     def test_non_numeric_value_rejected(self):
-        entries = to_labeled_dict(pr_box())
+        entries = to_labeled_dict(make_isotropic(1.0))
         entries["P(0,0|0,0)"] = "0.5"
         with pytest.raises(ValidationError):
             from_labeled_dict(entries)

@@ -29,7 +29,9 @@ from mucorr.scenarios import (
     _check_number,
     validate_scenario,
 )
-from mucorr.spin import Direction, standard_chsh_settings
+from mucorr.spin import Direction
+
+from references import builtin_quad, to_labeled_dict
 
 MANDATED_IDS = {
     "paper-standard",
@@ -64,9 +66,9 @@ JSON_VALUES = st.recursive(
 )
 ANGLES = st.sampled_from([0, 90.0, 45, 135.0, -90, 180]) | NUMBERS
 BOXES = st.floats(0.0, 1.0).map(
-    lambda p: nsb.to_labeled_dict(nsb.make_isotropic(p))
+    lambda p: to_labeled_dict(nsb.make_isotropic(p))
 ) | st.dictionaries(
-    st.sampled_from(list(nsb.to_labeled_dict(nsb.make_isotropic(1.0))))
+    st.sampled_from(list(to_labeled_dict(nsb.make_isotropic(1.0))))
     | st.text(max_size=10),
     NUMBERS, max_size=17,
 )
@@ -266,12 +268,10 @@ class TestCounterfactualKind:
 
 class TestNsboxKind:
     def test_explicit_table_equals_isotropic_construction(self):
-        from mucorr.nsbox import pr_box, to_labeled_dict
-
         explicit = Scenario(
             scenario_id="pr-explicit",
             kind="nsbox",
-            parameters={"box": to_labeled_dict(pr_box())},
+            parameters={"box": to_labeled_dict(nsb.make_isotropic(1.0))},
         )
         via_p = builtin_scenarios()["paper-pr-box"]
         got = [(r.quantity, r.analytic) for r in run(explicit)]
@@ -289,9 +289,7 @@ class TestNsboxKind:
         assert "isotropic_p" in rows  # equal target rates on every pair
 
     def test_signalling_box_rejected_at_validation(self):
-        from mucorr.nsbox import pr_box, to_labeled_dict
-
-        table = to_labeled_dict(pr_box())
+        table = to_labeled_dict(nsb.make_isotropic(1.0))
         table["P(0,0|0,0)"] = 0.6  # breaks normalization and marginals
         table["P(1,1|0,0)"] = 0.3
         scenario = Scenario(
@@ -304,10 +302,8 @@ class TestNsboxKind:
         assert any("violates" in p for p in problems)
 
     def test_non_finite_box_entry_is_one_named_problem(self):
-        from mucorr.nsbox import pr_box, to_labeled_dict
-
         for value in (math.nan, math.inf, -math.inf, 10**400, -(10**400)):
-            table = to_labeled_dict(pr_box())
+            table = to_labeled_dict(nsb.make_isotropic(1.0))
             table["P(0,1|1,1)"] = value
             scenario = Scenario(
                 scenario_id="bad-box", kind="nsbox", parameters={"box": table},
@@ -365,6 +361,24 @@ class TestValidation:
             )
         )
         assert any("remote_options" in p for p in problems)
+
+    def test_chsh_repeated_remote_option_is_named(self, tmp_path):
+        # A repeat would print its rows twice, with --mc from two substreams.
+        params = {
+            "a_degrees": 0.0, "a_prime_degrees": 90.0, "b_degrees": 45.0,
+            "b_prime_degrees": 135.0, "remote_options": ["b", "none", "b", "b"],
+        }
+        assert validate_scenario(self.mk("chsh", params)) == [
+            "parameters.remote_options lists 'b' 3 times; each option may appear once"
+        ]
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps({"id": "repeat", "kind": "chsh", "parameters": params}))
+        for argv in (["validate", str(path)], ["run", str(path), "--mc", "--samples", "100"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 1
+            assert out.getvalue() == ""
+            assert "'b' 3 times" in err.getvalue()
 
     def test_chsh_extra_parameter_rejected(self):
         problems = validate_scenario(
@@ -573,9 +587,7 @@ class TestScenarioFiles:
             assert any(needle in m for m in excinfo.value.messages)
 
     def test_load_collects_box_problems(self, tmp_path):
-        from mucorr.nsbox import pr_box, to_labeled_dict
-
-        table = to_labeled_dict(pr_box())
+        table = to_labeled_dict(nsb.make_isotropic(1.0))
         del table["P(0,0|0,0)"]
         table["P(2,0|0,0)"] = 0.5
         path = tmp_path / "badbox.json"
@@ -772,12 +784,12 @@ class TestRecords:
         )
 
     def test_records_are_immutable_tuples(self):
-        q = standard_chsh_settings()
+        q = builtin_quad("paper-standard")
         records = [
             ResultRow("s", "q", 1.25), Scenario("a", "chsh"), Direction(1.0), q,
             SampleConfig(), EmpiricalEstimate(0.5, 0.01, 100),
             nsb.ConstraintViolation("normalization", "sum P(.,.|0,0)", 0.1),
-            nsb.classify_box(nsb.pr_box()), report_for_option(None, q.a, q.a_prime),
+            nsb.classify_box(nsb.make_isotropic(1.0)), report_for_option(None, q.a, q.a_prime),
             nonlocality_verdict(q.a, q.a_prime, [None, q.b]),
         ]
         for record in records:

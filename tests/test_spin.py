@@ -15,9 +15,9 @@ from mucorr.spin import (
     correlation,
     dot,
     match_probability,
-    modified_settings_55_35,
-    standard_chsh_settings,
 )
+
+from references import builtin_quad
 
 angles_deg = st.floats(-720.0, 720.0)
 
@@ -89,19 +89,19 @@ class TestCorrelation:
 
 class TestChsh:
     def test_standard_settings_angles(self):
-        q = standard_chsh_settings()
+        q = builtin_quad("paper-standard")
         got = (q.a.degrees, q.a_prime.degrees, q.b.degrees, q.b_prime.degrees)
         assert got == (0.0, 90.0, 45.0, 135.0)
 
     def test_standard_value_is_quantum_maximum(self):
-        s = chsh_s(standard_chsh_settings())
+        s = chsh_s(builtin_quad("paper-standard"))
         assert abs(s - TSIRELSON_BOUND) <= 1e-12
         # the computed double sits just below the bound constant, so the
         # exact-threshold classification must not tip into super-quantum
         assert classify_chsh(s) is ChshClass.QUANTUM_VIOLATING
 
     def test_modified_55_35_value(self):
-        q = modified_settings_55_35()
+        q = builtin_quad("paper-55-35")
         assert (q.b.degrees, q.b_prime.degrees) == (45.0, 55.0)
         s = chsh_s(q)
         assert abs(s - 1.6597891703110408) <= 1e-12
@@ -121,7 +121,7 @@ class TestChsh:
 
     @given(st.floats(-10.0, 10.0))
     def test_value_invariant_under_joint_rotation(self, r):
-        q = standard_chsh_settings()
+        q = builtin_quad("paper-standard")
         rotated = SettingsQuad(
             a=q.a.rotated(r),
             a_prime=q.a_prime.rotated(r),
