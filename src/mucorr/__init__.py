@@ -59,7 +59,6 @@ from .scenarios import (
     builtin_scenarios,
     load_scenario_file,
     run,
-    sweep_rows,
     validate_scenario,
 )
 from .spin import (
@@ -74,7 +73,7 @@ from .spin import (
     match_probability,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # Every public name imported above, and nothing else.
 __all__ = sorted(

@@ -22,8 +22,8 @@ from .montecarlo import SampleConfig
 from .scenarios import (
     SWEEP_PARAMETERS,
     ColumnBlocks,
+    ResultRow,
     Scenario,
-    as_record,
     builtin_scenarios,
     load_scenario_file,
     run,
@@ -281,19 +281,13 @@ def _apply_mc_flags(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario._replace(mc=cfg)
 
 
-def _one_block(records: list[dict]) -> ColumnBlocks:
-    """Records that share their keys, as one block under those keys."""
-    headers = list(records[0])
-    return ColumnBlocks(headers, [[[record[key] for record in records] for key in headers]])
-
-
 def _cmd_run(args: argparse.Namespace) -> None:
     scenario = _apply_mc_flags(_resolve_scenario(args.scenario), args)
     if scenario.kind == "sweep":
         columns = sweep_columns(scenario)
     else:
         # Evaluated here, before emit opens --out, so a failed run writes nothing.
-        columns = _one_block(list(map(as_record, run(scenario))))
+        columns = ColumnBlocks(list(ResultRow._fields), [list(zip(*run(scenario)))])
     emit(columns, args.format, args.out)
 
 
@@ -315,15 +309,13 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> None:
-    records = [
-        {
-            "scenario": s.scenario_id,
-            "kind": s.kind,
-            "notes": " ".join(s.notes),
-        }
-        for s in builtin_scenarios().values()
+    catalog = builtin_scenarios().values()
+    columns = [
+        [s.scenario_id for s in catalog],
+        [s.kind for s in catalog],
+        [" ".join(s.notes) for s in catalog],
     ]
-    emit(_one_block(records), args.format, args.out)
+    emit(ColumnBlocks(["scenario", "kind", "notes"], [columns]), args.format, args.out)
 
 
 def _cmd_validate(args: argparse.Namespace) -> None:

@@ -2,30 +2,29 @@
 
 Every sampled quantity is a pair of two-valued outcomes whose 2x2 joint
 table is known exactly, so a run of n samples is fully described by the
-four cell counts: one multinomial draw gives them in O(1) time and
-memory, and the estimators are closed forms of the counts.
+four cell counts: one multinomial draw gives them in O(1) expected time
+and memory, and the estimators are closed forms of the counts.
 
-All randomness flows from numpy's PCG64. A run is identified by
-(seed, stream index): independent quantities inside one run draw from
-substreams derived via SeedSequence(seed, spawn_key=(index,)), so adding
-or reordering estimates never changes any other estimate. numpy is
-imported by the first draw, so code that only builds a SampleConfig (the
-CLI does for every `run`) does not load it.
+A run is identified by (seed, stream index): each quantity draws from its
+own MT19937 stream, `random.Random(seed << 64 | index)`, which Python keeps
+the same across versions, so adding or reordering estimates never changes
+any other. A multinomial draw is three conditional binomials, drawn by
+geometric skips when n p < 10 and by Hörmann's BTRS (J. Statist. Comput.
+Simul. 46, 101 (1993)) otherwise.
 """
 from __future__ import annotations
 
 import math
+import random
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateSequenceError, DomainError
 from .spin import Direction, match_probability
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .nsbox import NsBox
 
-#: The largest sample count numpy's multinomial accepts.
+#: The largest sample count; the sampler's error is tested up to it.
 MAX_SAMPLES = 2**63 - 1
 
 
@@ -68,29 +67,95 @@ class EmpiricalEstimate(NamedTuple):
         return abs(self.value - expected) <= width * self.std_error
 
 
-def substream(seed: int, index: int) -> np.random.Generator:
+def substream(seed: int, index: int) -> random.Random:
     """Generator for one independent quantity within a seeded run."""
-    import numpy as np
-
-    seq = np.random.SeedSequence(seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(seq))
+    return random.Random(seed << 64 | index)
 
 
 def sample_counts(
     table, cfg: SampleConfig, stream_index: int = 0
 ) -> tuple[int, int, int, int]:
-    """Cell counts (n00, n01, n10, n11) of cfg.n_samples draws from a 2x2
-    joint table of two outcomes, from substream `stream_index`."""
-    import numpy as np
-
-    flat = np.asarray(table, dtype=float).reshape(4)
-    if not (flat >= 0.0).all():
+    """Cell counts (n00, n01, n10, n11) of cfg.n_samples draws from the
+    cells (p00, p01, p10, p11) of a 2x2 table, from substream `stream_index`."""
+    p00, p01, p10, p11 = cells = [float(x) for x in table]
+    if not all(x >= 0.0 for x in cells):  # nan fails too
         raise DomainError("cannot sample a table with negative entries")
-    total = float(flat.sum())
+    # A sum is never below its first term, so each share below is in [0, 1].
+    tail10 = p10 + p11
+    tail01 = p01 + tail10
+    total = p00 + tail01
     if abs(total - 1.0) > 1e-9:
         raise DomainError("cannot sample a table that is not normalized")
-    rng = substream(cfg.seed, stream_index)
-    return tuple(int(c) for c in rng.multinomial(cfg.n_samples, flat / total))
+    rng, n = substream(cfg.seed, stream_index), cfg.n_samples
+    n00 = _binomial(rng, n, p00 / total)
+    n01 = _binomial(rng, n - n00, p01 / tail01 if p01 else 0.0)
+    n10 = _binomial(rng, n - n00 - n01, p10 / tail10 if p10 else 0.0)
+    return n00, n01, n10, n - n00 - n01 - n10
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw, for an int n >= 0 and 0 <= p <= 1."""
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:  # geometric skips over the failures before each success
+        if p == 0.0:
+            return 0
+        log_q = math.log1p(-p)
+        k = used = 0
+        while True:
+            # 1 - random() is in (0, 1]; the skip may be inf for a tiny p.
+            skip = math.log(1.0 - rng.random()) / log_q
+            if skip >= n - used:
+                return k
+            used += int(skip) + 1
+            k += 1
+    # BTRS: transformed rejection with squeeze, around the mode m.
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    m = math.floor((n + 1) * p)  # the mode
+    # c - m for BTRS's centre c = n p + 1/2, so that m + d keeps unit steps at any n.
+    shift = (n + 1) * p - m + 0.5 - p
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # random() returned 0.0
+            continue
+        d = math.floor((2.0 * a / us + b) * u + shift)
+        if not -m <= d <= n - m:
+            continue
+        v = 1.0 - rng.random()  # in (0, 1], so its log is finite
+        if us >= 0.07 and v <= 0.92 - 4.2 / b:  # the squeeze
+            return m + d
+        if math.log(v * alpha / (a / (us * us) + b)) <= _log_pmf_ratio(n, p, m, d):
+            return m + d
+
+
+def _log_pmf_ratio(n: int, p: float, m: int, d: int) -> float:
+    """ln f(m + d) / f(m) for the Binomial(n, p) pmf f, by Stirling's series
+    for each ln j!: its -(j + 1) terms cancel exactly and its logs pair into
+    logs of ratios near 1, so no two lgamma-sized numbers (near 2e20 at
+    n = 2^62, where an ulp is 32768) are subtracted."""
+    k = m + d
+    x, y = d / (m + 1), -d / (n - m + 1)
+    if x <= -1.0 or y <= -1.0:
+        # -1 after rounding: k or n - k is under 2^-53 of m or n - m; f(k) underflows.
+        return -math.inf
+    return (
+        _stirling_tail(m) + _stirling_tail(n - m)
+        - _stirling_tail(k) - _stirling_tail(n - k)
+        - (m + 0.5) * math.log1p(x) - (n - m + 0.5) * math.log1p(y)
+        + d * math.log((n - k + 1) * p / ((k + 1) * (1.0 - p)))
+    )
+
+
+def _stirling_tail(j: int) -> float:
+    """ln j! - (j + 1/2) ln(j + 1) + (j + 1) - ln(2 pi) / 2."""
+    z = j + 1.0
+    if j < 10:
+        return math.lgamma(z) - (j + 0.5) * math.log(z) + z - 0.9189385332046727
+    return (1 / 12 - (1 / 360 - 1 / 1260 / (z * z)) / (z * z)) / z
 
 
 def estimate_correlation(counts: tuple[int, int, int, int]) -> EmpiricalEstimate:

@@ -98,18 +98,6 @@ class ResultRow(NamedTuple):
     flags: str = ""
 
 
-def as_record(row: ResultRow) -> dict:
-    """Stable-keyed mapping form used by every output format."""
-    return {
-        "scenario": row.scenario,
-        "quantity": row.quantity,
-        "analytic": row.analytic,
-        "mc_value": row.mc_value,
-        "mc_std_error": row.mc_std_error,
-        "flags": row.flags,
-    }
-
-
 def builtin_scenarios() -> dict[str, Scenario]:
     """The five named scenarios shipped with the package."""
     standard = Scenario(
@@ -727,7 +715,7 @@ def run(scenario: Scenario) -> list[ResultRow]:
     _, runner = _KINDS[scenario.kind]
     if runner is None:
         raise ValidationError(
-            "sweep scenarios produce grid rows; run them with sweep_rows "
+            "sweep scenarios produce grid rows; run them with sweep_columns "
             "or the sweep command"
         )
     return runner(scenario)
@@ -790,8 +778,3 @@ def _sweep_blocks(sid: str, params: dict) -> Iterator[list[list]]:
             columns = [p, *nsb.isotropic_sweep(p), [(2.0 * q - 1.0) ** 2 for q in p]]
         yield [[sid] * len(grid), *columns]
 
-
-def sweep_rows(scenario: Scenario) -> list[dict]:
-    """Execute a sweep scenario: one record per grid point, analytic only."""
-    headers, blocks = sweep_columns(scenario)
-    return [dict(zip(headers, row)) for block in blocks for row in zip(*block)]

@@ -1,8 +1,9 @@
 """Views that the tests build from the public API: the flat wire format of
-a box and the settings quad of a built-in CHSH scenario."""
+a box, the settings quad of a built-in CHSH scenario, and a sweep's rows as
+records."""
 import itertools
 
-from mucorr.scenarios import builtin_scenarios
+from mucorr.scenarios import builtin_scenarios, sweep_columns
 from mucorr.spin import Direction, SettingsQuad
 
 
@@ -21,3 +22,9 @@ def builtin_quad(scenario_id: str) -> SettingsQuad:
         Direction.from_degrees(params[key])
         for key in ("a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees")
     ))
+
+
+def sweep_records(scenario) -> list[dict]:
+    """One record per grid point of a sweep, keyed by its headers."""
+    headers, blocks = sweep_columns(scenario)
+    return [dict(zip(headers, row)) for block in blocks for row in zip(*block)]

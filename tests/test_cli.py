@@ -20,12 +20,12 @@ from mucorr.scenarios import (
     KINDS,
     ColumnBlocks,
     Scenario,
-    as_record,
     builtin_scenarios,
     run,
     sweep_columns,
-    sweep_rows,
 )
+
+from references import sweep_records
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -164,7 +164,7 @@ class TestRenderers:
     def test_every_run_equals_the_references(self, capsys):
         for scenario in builtin_scenarios().values():
             for flags, mc in (([], None), (["--samples", "2000"], SampleConfig(2000, 42))):
-                records = [as_record(row) for row in run(scenario._replace(mc=mc))]
+                records = [row._asdict() for row in run(scenario._replace(mc=mc))]
                 for fmt, reference in REFERENCES.items():
                     assert run_cli(
                         capsys, "run", scenario.scenario_id, *flags, "--format", fmt,
@@ -203,7 +203,7 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "run", "paper-55-35", "--format", "json")
         assert code == 0
         emitted = json.loads(out)
-        direct = [as_record(row) for row in run(builtin_scenarios()["paper-55-35"])]
+        direct = [row._asdict() for row in run(builtin_scenarios()["paper-55-35"])]
         assert emitted == direct  # raw JSON numbers round-trip doubles exactly
         assert list(emitted[0]) == [
             "scenario",
@@ -387,7 +387,7 @@ class TestStreamedSweeps:
     def test_output_equals_the_references(self, capsys, tmp_path, parameter, points):
         grid = sweep_grid(parameter, points)
         argv = sweep_argv(grid)
-        records = sweep_rows(Scenario(f"sweep-{parameter}", "sweep", grid))
+        records = sweep_records(Scenario(f"sweep-{parameter}", "sweep", grid))
         assert len(records) == points
         target = tmp_path / "sweep.out"
         for fmt, reference in REFERENCES.items():
@@ -400,7 +400,7 @@ class TestStreamedSweeps:
         grid = sweep_grid("theta_degrees", 4097)
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"id": "theta-file", "kind": "sweep", "parameters": grid}))
-        records = sweep_rows(Scenario("theta-file", "sweep", grid))
+        records = sweep_records(Scenario("theta-file", "sweep", grid))
         assert len(records) == 4097
         for fmt, reference in REFERENCES.items():
             assert run_cli(capsys, "run", str(path), "--format", fmt) == (

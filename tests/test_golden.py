@@ -2,7 +2,7 @@
 
 Each file under `golden/` is the CSV that `mucorr run ... --mc --samples 1000
 --seed 7 --format csv` printed when it was recorded. A change to the
-sampler, to how a table reaches it, or to the Python or numpy stream shows
+sampler, to how a table reaches it, or to Python's MT19937 stream shows
 here as a changed value. The PR box draws only its winning cells, so its
 rows are exact; the correlator box and `paper-standard` carry sampling
 noise in every estimate.

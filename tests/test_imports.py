@@ -1,10 +1,9 @@
-"""numpy is imported only by Monte Carlo, and the CLI starts without
+"""The package never imports numpy, and the CLI starts without
 `dataclasses` or `inspect`.
 
-A scan of the sources finds numpy imported in `montecarlo` alone. Each
-call check runs in a fresh interpreter, since a module once imported stays
-in `sys.modules`: the analytic paths of the CLI, boxes and sweeps included,
-never load numpy, and Monte Carlo loads it when it runs.
+A scan of the sources finds no numpy import. Each call check runs in a
+fresh interpreter, since a module once imported stays in `sys.modules`:
+no path of the CLI loads numpy, Monte Carlo included.
 """
 import ast
 import json
@@ -47,8 +46,7 @@ PUBLIC_NAMES = [
     "match_probability", "max_info_direction", "nonlocality_verdict",
     "report_for_option", "rho_ci_ns", "rho_conditional_independence",
     "rho_min_ns", "rho_min_quantum", "run", "shapes_rho", "substream",
-    "sweep_rows", "target_probability", "validate_no_signalling",
-    "validate_scenario",
+    "target_probability", "validate_no_signalling", "validate_scenario",
 ]
 
 
@@ -134,8 +132,8 @@ def test_boxes_and_sweeps_never_load_numpy(argv):
     ["run", "paper-standard", "--mc", "--samples", "1000"],
     ["run", "paper-pr-box", "--mc", "--samples", "1000"],
 ])
-def test_monte_carlo_loads_numpy(argv):
-    assert "numpy" in modules_loaded_by(*argv)
+def test_monte_carlo_never_loads_numpy(argv):
+    assert "numpy" not in modules_loaded_by(*argv)
 
 
 @pytest.mark.parametrize("argv", [[], ["run", "paper-standard"]])
@@ -144,10 +142,16 @@ def test_cli_starts_without_dataclasses_or_inspect(argv):
     assert not {"dataclasses", "inspect"} & modules_loaded_by(*argv)
 
 
-def test_only_montecarlo_imports_numpy():
+def test_no_module_imports_numpy(tmp_path):
     modules = sorted(SRC.glob("mucorr/*.py"))
-    importers = [path.name for path in modules if imports_numpy(path)]
-    assert importers == ["montecarlo.py"]
+    assert SRC / "mucorr" / "montecarlo.py" in modules
+    assert [path.name for path in modules if imports_numpy(path)] == []
+    # The scan finds the imports that the package once had.
+    probe = tmp_path / "probe.py"
+    for source in ("def f():\n    import numpy as np\n",
+                   "if TYPE_CHECKING:\n    from numpy.random import Generator\n"):
+        probe.write_text(source)
+        assert imports_numpy(probe)
 
 
 def test_public_names_are_unchanged():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from mucorr.montecarlo import (
     MAX_SAMPLES,
     EmpiricalEstimate,
     SampleConfig,
+    _binomial,
+    _log_pmf_ratio,
     _match_table,
     estimate_ci_correlation,
     estimate_coin_correlation,
@@ -71,21 +74,20 @@ class TestConfig:
         assert repr(SampleConfig()) == "SampleConfig(n_samples=1000000, seed=42)"
 
 
+def eight_draws(seed: int, index: int) -> list[float]:
+    rng = substream(seed, index)
+    return [rng.random() for _ in range(8)]
+
+
 class TestStreams:
     def test_same_seed_same_draws(self):
-        a = substream(42, 3).random(8)
-        b = substream(42, 3).random(8)
-        assert np.array_equal(a, b)
+        assert eight_draws(42, 3) == eight_draws(42, 3)
 
     def test_different_indices_differ(self):
-        a = substream(42, 0).random(8)
-        b = substream(42, 1).random(8)
-        assert not np.array_equal(a, b)
+        assert eight_draws(42, 0) != eight_draws(42, 1)
 
     def test_different_seeds_differ(self):
-        a = substream(1, 0).random(8)
-        b = substream(2, 0).random(8)
-        assert not np.array_equal(a, b)
+        assert eight_draws(1, 0) != eight_draws(2, 0)
 
     def test_estimates_are_deterministic(self):
         e1 = estimate_pair_correlation(A0, B45, CFG, 2)
@@ -93,10 +95,15 @@ class TestStreams:
         assert e1 == e2  # bit-exact, not approximate
 
     def test_counts_are_one_multinomial_draw_of_the_substream(self):
-        table = [0.4, 0.1, 0.2, 0.3]
-        counts = sample_counts(table, CFG, 5)
-        expected = substream(CFG.seed, 5).multinomial(CFG.n_samples, table)
-        assert counts == tuple(int(c) for c in expected)
+        # Three conditional binomials in turn from the one substream, each
+        # cell against the cells from it on; the last cell takes the rest.
+        counts = sample_counts([0.4, 0.1, 0.2, 0.3], CFG, 5)
+        rng, n = substream(CFG.seed, 5), CFG.n_samples
+        n00 = _binomial(rng, n, 0.4 / (0.4 + (0.1 + (0.2 + 0.3))))
+        n01 = _binomial(rng, n - n00, 0.1 / (0.1 + (0.2 + 0.3)))
+        n10 = _binomial(rng, n - n00 - n01, 0.2 / (0.2 + 0.3))
+        assert counts == (n00, n01, n10, n - n00 - n01 - n10)
+        assert all(type(c) is int for c in counts)
 
 
 class TestSamplers:
@@ -161,6 +168,103 @@ class TestSamplers:
             estimate_ns_pair(NsBox(negative), 0, 0, CFG)
         with pytest.raises(DomainError):
             sample_counts([0.25, 0.25, 0.25, float("nan")], CFG)
+
+
+def binomial_pmf(n: int, p: float) -> list[float]:
+    """Reference: the exact Binomial(n, p) pmf, term by term."""
+    return [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+
+
+#: The sample counts at which the standardized error is checked: up to the
+#: cap, where ln n! is near 4e20 and a difference of lgammas cancels.
+LARGE_NS = (10**6, 10**12, 2**53, 2**62, MAX_SAMPLES)
+
+
+class _ZerosFirst(random.Random):
+    """A stream whose 1st, 3rd and 4th random() are exactly 0.0: in BTRS a
+    proposal with us == 0, then a v from 0.0, then us == 0 again."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return 0.0 if self.calls in (1, 3, 4) else super().random()
+
+
+class TestBinomial:
+    @pytest.mark.parametrize("n, p", [
+        (20, 0.3), (20, 0.8),  # geometric skips, n p = 6 and 4
+        (60, 0.3), (60, 0.7),  # BTRS, n p = 18
+        (1000, 0.3), (1000, 0.5),
+    ])
+    def test_draws_follow_the_exact_pmf(self, n, p):
+        draws = 20_000
+        rng = random.Random(n + int(100 * p))
+        observed = [0] * (n + 1)
+        for _ in range(draws):
+            observed[_binomial(rng, n, p)] += 1
+        # Pearson's chi-square over cells of at least 5 expected draws, the
+        # two tails pooled into the first and last of them.
+        expected = [draws * f for f in binomial_pmf(n, p)]
+        cells = [k for k in range(n + 1) if expected[k] >= 5.0]
+        lo, hi = cells[0], cells[-1]
+        obs = [sum(observed[:lo + 1]), *observed[lo + 1:hi], sum(observed[hi:])]
+        exp = [sum(expected[:lo + 1]), *expected[lo + 1:hi], sum(expected[hi:])]
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
+        df = len(obs) - 1
+        assert chi2 < df + 5.0 * math.sqrt(2.0 * df), (chi2, df)
+
+    @pytest.mark.parametrize("n", [20, 60, 1000, 100_000])
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5])
+    def test_log_pmf_ratio_equals_the_lgamma_form(self, n, p):
+        m = math.floor((n + 1) * p)
+        h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+        for k in sorted({*range(0, n + 1, max(1, n // 97)), n, m + 1, max(m - 1, 0)}):
+            want = (h - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + (k - m) * math.log(p / (1.0 - p)))
+            assert _log_pmf_ratio(n, p, m, k - m) == pytest.approx(want, rel=1e-9, abs=1e-8)
+
+    def test_edges(self):
+        rng = random.Random(3)
+        for n in (0, 1, 10**6, MAX_SAMPLES):
+            assert _binomial(rng, n, 0.0) == 0
+            assert _binomial(rng, n, 1.0) == n
+        assert _binomial(rng, 0, 0.5) == 0
+        ones = sum(_binomial(rng, 1, 0.3) for _ in range(10_000))
+        assert abs(ones - 3_000) < 4 * math.sqrt(10_000 * 0.21)
+        # Tiny p at huge n: the skip overflows to inf, or n p is a few.
+        assert _binomial(rng, MAX_SAMPLES, 5e-324) == 0
+        assert _binomial(rng, MAX_SAMPLES, 1.0 - 5e-324) == MAX_SAMPLES
+        few = [_binomial(rng, MAX_SAMPLES, 1e-18) for _ in range(2_000)]
+        assert abs(sum(few) / 2_000 - MAX_SAMPLES * 1e-18) < 0.5
+        # Far tails at the cap stay finite or -inf, never a domain error.
+        m = math.floor((MAX_SAMPLES + 1) * 0.5)
+        for d in (-m, -m + 1, MAX_SAMPLES - m - 1, MAX_SAMPLES - m):
+            assert _log_pmf_ratio(MAX_SAMPLES, 0.5, m, d) < -1e6
+
+    @pytest.mark.parametrize("n, p", [(8, 0.3), (10**6, 0.3), (MAX_SAMPLES, 0.5)])
+    def test_a_zero_from_random_is_drawn_safely(self, n, p):
+        # random() can return 0.0: no log(0.0) and no division by us == 0.
+        for seed in range(50):
+            assert 0 <= _binomial(_ZerosFirst(seed), n, p) <= n
+
+    def test_standardized_error_has_unit_variance_up_to_the_cap(self):
+        draws, seeds = 40_000, 4_000
+        target = math.cos(math.radians(45.0))
+        for i, n in enumerate(LARGE_NS):
+            rng = random.Random(1000 + i)
+            mean, sd = n * 0.3, math.sqrt(n * 0.3 * 0.7)
+            z = [(_binomial(rng, n, 0.3) - mean) / sd for _ in range(draws)]
+            assert abs(sum(z) / draws) < 5.0 / math.sqrt(draws), n
+            assert abs(sum(x * x for x in z) / draws - 1.0) < 5.0 * math.sqrt(2.0 / draws), n
+            z = []
+            for seed in range(seeds):
+                est = estimate_pair_correlation(A0, B45, SampleConfig(n, seed))
+                z.append((est.value - target) / est.std_error)
+            mean = sum(z) / seeds
+            var = sum((x - mean) ** 2 for x in z) / (seeds - 1)
+            assert abs(mean) < 5.0 / math.sqrt(seeds), n
+            assert abs(var - 1.0) < 5.0 * math.sqrt(2.0 / seeds), (n, var)
 
 
 class TestEstimators:

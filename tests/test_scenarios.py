@@ -20,18 +20,16 @@ from mucorr.scenarios import (
     SWEEP_PARAMETERS,
     ResultRow,
     Scenario,
-    as_record,
     builtin_scenarios,
     grid_points,
     load_scenario_file,
     run,
-    sweep_rows,
     _check_number,
     validate_scenario,
 )
 from mucorr.spin import Direction
 
-from references import builtin_quad, to_labeled_dict
+from references import builtin_quad, sweep_records, to_labeled_dict
 
 MANDATED_IDS = {
     "paper-standard",
@@ -497,7 +495,7 @@ class TestValidation:
             "sweep",
             {"parameter": "isotropic_p", "start": 0.0, "stop": 1.0, "step": 0.5},
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="sweep_columns or the sweep command"):
             run(scenario)
 
 
@@ -660,7 +658,7 @@ class TestSweeps:
                 "step": 1.0,
             },
         )
-        records = sweep_rows(scenario)
+        records = sweep_records(scenario)
         assert len(records) == 91
         assert list(records[0]) == ["scenario", "theta_degrees", "rho_ci", "info_bits"]
         assert all(r["scenario"] == "sweep-theta" for r in records)
@@ -680,7 +678,7 @@ class TestSweeps:
                 "step": 0.01,
             },
         )
-        records = sweep_rows(scenario)
+        records = sweep_records(scenario)
         assert len(records) == 101
         assert list(records[0]) == [
             "scenario",
@@ -729,7 +727,7 @@ class TestSweeps:
                 "s_e": nsb.chsh_s_e(box), "rho_min": nsb.rho_min_ns(box, 0),
                 "rho_ci": nsb.rho_ci_ns(p),
             })
-        assert self._bits(sweep_rows(scenario)) == self._bits(reference)
+        assert self._bits(sweep_records(scenario)) == self._bits(reference)
 
     @pytest.mark.parametrize("start, stop, step, a, a_prime", [
         (-720.0, 720.0, 0.37, 17.5, 107.5),
@@ -752,7 +750,7 @@ class TestSweeps:
                 "rho_ci": report.rho_ci, "info_bits": report.info_bits,
             })
         assert len(reference) > 400
-        assert self._bits(sweep_rows(scenario)) == self._bits(reference)
+        assert self._bits(sweep_records(scenario)) == self._bits(reference)
 
 
 class TestRecords:
@@ -760,7 +758,7 @@ class TestRecords:
         row = ResultRow(
             scenario="s", quantity="q", analytic=1.25, mc_value=None, mc_std_error=None
         )
-        record = as_record(row)
+        record = row._asdict()
         assert list(record) == [
             "scenario",
             "quantity",
@@ -799,4 +797,3 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 record.extra = None
         assert ResultRow("s", "q", 1.25) == ("s", "q", 1.25, None, None, "")
-        assert ResultRow("s", "q", 1.25)._asdict() == as_record(ResultRow("s", "q", 1.25))
