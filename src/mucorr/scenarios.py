@@ -20,14 +20,14 @@ from typing import Iterator, NamedTuple
 from . import montecarlo as mc
 from . import nsbox as nsb
 from .counterfactual import (
-    ORTHOGONALITY_TOL,
+    _require_orthogonal,
     info_leakage,
     max_info_direction,
     nonlocality_verdict,
     report_for_option,
     rho_conditional_independence,
 )
-from .errors import ValidationError, _finite_float
+from .errors import NotOrthogonalError, ValidationError, _finite_float
 from .montecarlo import EmpiricalEstimate, SampleConfig
 from .spin import (
     CLASSICAL_BOUND,
@@ -155,18 +155,17 @@ def builtin_scenarios() -> dict[str, Scenario]:
     }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_number(
     params: dict, key: str, problems: list[str],
-    required: bool = True, low: float | None = None, high: float | None = None,
+    default: float | None = None, low: float | None = None, high: float | None = None,
 ) -> float | None:
+    """params[key] as a float, or `default` if the key is absent. None, with
+    the problem noted, for a required key that is absent or a value that is
+    not a finite number within the bounds."""
     if key not in params:
-        if required:
+        if default is None:
             problems.append(f"parameters.{key} is required")
-        return None
+        return default
     value = params[key]
     number = _finite_float(value)
     if number is None:
@@ -193,57 +192,69 @@ def _check_extra_keys(params: dict, allowed: set[str], problems: list[str]) -> N
             problems.append(f"parameters.{shown} is not a recognized parameter")
 
 
-def _validate_chsh(params: dict, problems: list[str]) -> None:
+def _check_angles(params: dict, keys: tuple[str, ...], problems: list[str]) -> tuple[list, list]:
+    """The required angles in degrees, and as Directions (None where not valid)."""
+    degrees = [_check_number(params, key, problems) for key in keys]
+    return degrees, [None if d is None else Direction.from_degrees(d) for d in degrees]
+
+
+def _validate_chsh(params: dict, problems: list[str]):
     _check_extra_keys(
         params,
         {"a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees",
          "remote_options", "annotation", "assume_ci"},
         problems,
     )
-    a = _check_number(params, "a_degrees", problems)
-    a_prime = _check_number(params, "a_prime_degrees", problems)
-    _check_number(params, "b_degrees", problems)
-    _check_number(params, "b_prime_degrees", problems)
+    degrees, directions = _check_angles(
+        params, ("a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees"), problems
+    )
+    a, a_prime = directions[:2]
     if a is not None and a_prime is not None:
-        d = dot(Direction.from_degrees(a), Direction.from_degrees(a_prime))
-        if abs(d) > ORTHOGONALITY_TOL:
+        try:
+            _require_orthogonal(a, a_prime)
+        except NotOrthogonalError:
             problems.append(
                 "parameters.a_degrees and parameters.a_prime_degrees must be "
-                f"orthogonal directions, got dot product {d!r}"
+                f"orthogonal directions, got dot product {dot(a, a_prime)!r}"
             )
     options = params.get("remote_options")
-    if options is not None:
-        if not isinstance(options, list) or not options:
-            problems.append("parameters.remote_options must be a non-empty list")
-        else:
-            for opt in options:
-                if opt not in REMOTE_OPTION_NAMES:
-                    problems.append(
-                        f"parameters.remote_options entries must be one of "
-                        f"{REMOTE_OPTION_NAMES}, got {opt!r}"
-                    )
-            for name in REMOTE_OPTION_NAMES:
-                if options.count(name) > 1:
-                    problems.append(
-                        f"parameters.remote_options lists {name!r} "
-                        f"{options.count(name)} times; each option may appear once"
-                    )
-    if "annotation" in params and not isinstance(params["annotation"], str):
+    if options is None:
+        options = REMOTE_OPTION_NAMES
+    elif not isinstance(options, list) or not options:
+        problems.append("parameters.remote_options must be a non-empty list")
+    else:
+        for opt in options:
+            if opt not in REMOTE_OPTION_NAMES:
+                problems.append(
+                    f"parameters.remote_options entries must be one of "
+                    f"{REMOTE_OPTION_NAMES}, got {opt!r}"
+                )
+        for name in REMOTE_OPTION_NAMES:
+            if options.count(name) > 1:
+                problems.append(
+                    f"parameters.remote_options lists {name!r} "
+                    f"{options.count(name)} times; each option may appear once"
+                )
+    annotation = params.get("annotation")
+    if "annotation" in params and not isinstance(annotation, str):
         problems.append("parameters.annotation must be a string")
-    if "assume_ci" in params and not isinstance(params["assume_ci"], bool):
+    assume_ci = params.get("assume_ci", True)
+    if not isinstance(assume_ci, bool):
         problems.append("parameters.assume_ci must be a boolean")
+    return degrees, directions, options, assume_ci, annotation
 
 
-def _validate_counterfactual(params: dict, problems: list[str]) -> None:
+def _validate_counterfactual(params: dict, problems: list[str]):
     _check_extra_keys(
         params, {"theta_degrees", "a_degrees", "a_prime_degrees"}, problems
     )
-    _check_number(params, "theta_degrees", problems)
-    _check_number(params, "a_degrees", problems)
-    _check_number(params, "a_prime_degrees", problems)
+    _, directions = _check_angles(
+        params, ("theta_degrees", "a_degrees", "a_prime_degrees"), problems
+    )
+    return directions
 
 
-def _validate_nsbox(params: dict, problems: list[str]) -> None:
+def _validate_nsbox(params: dict, problems: list[str]):
     _check_extra_keys(params, {"isotropic_p", "correlators", "box"}, problems)
     sources = [k for k in ("isotropic_p", "correlators", "box") if k in params]
     if len(sources) != 1:
@@ -251,68 +262,70 @@ def _validate_nsbox(params: dict, problems: list[str]) -> None:
             "exactly one of parameters.isotropic_p, parameters.correlators, "
             f"parameters.box is required, got {sources or 'none'}"
         )
-        return
+        return None
     if "isotropic_p" in params:
-        _check_number(params, "isotropic_p", problems, low=0.0, high=1.0)
-    elif "correlators" in params:
+        p = _check_number(params, "isotropic_p", problems, low=0.0, high=1.0)
+        return None if p is None else (nsb.make_isotropic(p),)
+    if "correlators" in params:
         cs = params["correlators"]
         if not isinstance(cs, list) or len(cs) != 4:
             problems.append(
                 "parameters.correlators must be a list of four numbers "
                 "[E00, E01, E10, E11]"
             )
-            return
-        for i, e in enumerate(cs):
-            if not _is_number(e) or not -1.0 <= e <= 1.0:
-                problems.append(
-                    f"parameters.correlators[{i}] must lie in [-1, 1], got {e!r}"
-                )
-    else:
-        if not isinstance(params["box"], dict):
-            problems.append(
-                'parameters.box must be an object of 16 entries keyed "P(A,B|a,b)"'
-            )
-            return
-        try:
-            box = nsb.from_labeled_dict(params["box"])
-        except ValidationError as exc:
-            problems.extend(f"parameters.box: {m}" for m in exc.messages)
-            return
-        for v in nsb.validate_no_signalling(box):
-            problems.append(
-                f"parameters.box violates {v.kind} at {v.where} "
-                f"(residual {v.residual:.3g})"
-            )
+            return None
+        values = [_finite_float(e) for e in cs]
+        bad = [i for i, e in enumerate(values) if e is None or not -1.0 <= e <= 1.0]
+        problems.extend(
+            f"parameters.correlators[{i}] must lie in [-1, 1], got {cs[i]!r}" for i in bad
+        )
+        return None if bad else (nsb.from_correlators(*values),)
+    if not isinstance(params["box"], dict):
+        problems.append(
+            'parameters.box must be an object of 16 entries keyed "P(A,B|a,b)"'
+        )
+        return None
+    try:
+        box = nsb.from_labeled_dict(params["box"])
+    except ValidationError as exc:
+        problems.extend(f"parameters.box: {m}" for m in exc.messages)
+        return None
+    for v in nsb.validate_no_signalling(box):
+        problems.append(
+            f"parameters.box violates {v.kind} at {v.where} "
+            f"(residual {v.residual:.3g})"
+        )
+    return (box,)
 
 
-def _validate_classical(params: dict, problems: list[str]) -> None:
+def _validate_classical(params: dict, problems: list[str]):
     variant = params.get("variant")
     if variant == "coin":
         _check_extra_keys(params, {"variant"}, problems)
-    elif variant == "shapes":
-        _check_extra_keys(
-            params, {"variant", "red_given_cube", "blue_given_sphere"}, problems
-        )
-        rc = _check_number(
-            params, "red_given_cube", problems, required=False, low=0.0, high=1.0
-        )
-        bs = _check_number(
-            params, "blue_given_sphere", problems, required=False, low=0.0, high=1.0
-        )
-        rc = 0.75 if rc is None else rc
-        bs = 0.75 if bs is None else bs
-        if abs(rc - bs) >= 1.0:
-            problems.append(
-                "color must not be deterministic: |red_given_cube - "
-                "blue_given_sphere| must be < 1"
-            )
-    else:
+        return None, None
+    if variant != "shapes":
         problems.append(
             f"parameters.variant must be 'coin' or 'shapes', got {variant!r}"
         )
+        return None
+    _check_extra_keys(
+        params, {"variant", "red_given_cube", "blue_given_sphere"}, problems
+    )
+    rc = _check_number(
+        params, "red_given_cube", problems, default=0.75, low=0.0, high=1.0
+    )
+    bs = _check_number(
+        params, "blue_given_sphere", problems, default=0.75, low=0.0, high=1.0
+    )
+    if rc is not None and bs is not None and abs(rc - bs) >= 1.0:
+        problems.append(
+            "color must not be deterministic: |red_given_cube - "
+            "blue_given_sphere| must be < 1"
+        )
+    return rc, bs
 
 
-def _validate_sweep(params: dict, problems: list[str]) -> None:
+def _validate_sweep(params: dict, problems: list[str]):
     _check_extra_keys(
         params,
         {"parameter", "start", "stop", "step", "a_degrees", "a_prime_degrees"},
@@ -324,11 +337,13 @@ def _validate_sweep(params: dict, problems: list[str]) -> None:
             f"parameters.parameter must be one of {SWEEP_PARAMETERS}, "
             f"got {parameter!r}"
         )
-        return
-    bounds = (0.0, 1.0) if parameter == "isotropic_p" else (None, None)
+        return None
+    theta = parameter == "theta_degrees"
+    bounds = (None, None) if theta else (0.0, 1.0)
     start = _check_number(params, "start", problems, low=bounds[0], high=bounds[1])
     stop = _check_number(params, "stop", problems, low=bounds[0], high=bounds[1])
     step = _check_number(params, "step", problems)
+    size = None
     if step is not None and step <= 0.0:
         problems.append(f"parameters.step must be positive, got {step!r}")
     if start is not None and stop is not None and stop < start:
@@ -349,28 +364,40 @@ def _validate_sweep(params: dict, problems: list[str]) -> None:
                 f"parameters.start {start!r} to parameters.stop {stop!r} spans "
                 "more than the largest float"
             )
-        elif math.isinf(start + _grid_steps(start, stop, step) * step):
-            problems.append(
-                f"parameters.step {step!r} on [{start!r}, {stop!r}] puts the last "
-                "grid point beyond the largest float"
-            )
-    if parameter == "theta_degrees":
-        _check_number(params, "a_degrees", problems, required=False)
-        _check_number(params, "a_prime_degrees", problems, required=False)
+        else:
+            size = _grid_steps(start, stop, step) + 1
+            if math.isinf(start + (size - 1) * step):
+                problems.append(
+                    f"parameters.step {step!r} on [{start!r}, {stop!r}] puts the last "
+                    "grid point beyond the largest float"
+                )
+    a = a_prime = None
+    if theta:
+        a = _check_number(params, "a_degrees", problems, default=0.0)
+        a_prime = _check_number(params, "a_prime_degrees", problems, default=90.0)
+        if a is not None and a_prime is not None:
+            a, a_prime = Direction.from_degrees(a), Direction.from_degrees(a_prime)
     elif "a_degrees" in params or "a_prime_degrees" in params:
         problems.append(
             "parameters.a_degrees/a_prime_degrees apply only to theta_degrees sweeps"
         )
+    return theta, start, step, size, a, a_prime
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """All field-level problems with a scenario; empty list means valid."""
+    return _checked(scenario)[0]
+
+
+def _checked(scenario: Scenario) -> tuple[list[str], tuple | None]:
+    """The problems of `validate_scenario`, and the values that the
+    validator of the scenario's kind checked."""
     problems: list[str] = []
     if not scenario.scenario_id or not isinstance(scenario.scenario_id, str):
         problems.append("id must be a non-empty string")
     if scenario.kind not in KINDS:
         problems.append(f"kind must be one of {KINDS}, got {scenario.kind!r}")
-        return problems
+        return problems, None
     if scenario.kind == "sweep" and scenario.mc is not None:
         problems.append(
             "sweeps are analytic only: Monte Carlo (an mc block, --mc, --samples "
@@ -378,10 +405,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         )
     if not isinstance(scenario.parameters, dict):
         problems.append("parameters must be a mapping")
-        return problems
+        return problems, None
     validate, _ = _KINDS[scenario.kind]
-    validate(scenario.parameters, problems)
-    return problems
+    return problems, validate(scenario.parameters, problems)
 
 
 def load_scenario_file(path: str) -> Scenario:
@@ -450,10 +476,6 @@ def load_scenario_file(path: str) -> Scenario:
     return scenario
 
 
-def _fmt_angle(degrees: float) -> str:
-    return f"{degrees:g}"
-
-
 def _mc_fields(est: EmpiricalEstimate | None) -> tuple[float | None, float | None]:
     if est is None:
         return None, None
@@ -469,30 +491,21 @@ def _signed_sum(signs, estimates: list[EmpiricalEstimate]) -> tuple[float, float
     )
 
 
-def _run_chsh(scenario: Scenario) -> list[ResultRow]:
-    params = scenario.parameters
-    sid = scenario.scenario_id
-    a_deg = float(params["a_degrees"])
-    ap_deg = float(params["a_prime_degrees"])
-    b_deg = float(params["b_degrees"])
-    bp_deg = float(params["b_prime_degrees"])
-    a = Direction.from_degrees(a_deg)
-    a_prime = Direction.from_degrees(ap_deg)
-    b = Direction.from_degrees(b_deg)
-    b_prime = Direction.from_degrees(bp_deg)
-    quad = SettingsQuad(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
-    option_names = list(params.get("remote_options", REMOTE_OPTION_NAMES))
-    assume_ci = bool(params.get("assume_ci", True))
-    annotation = params.get("annotation")
-    cfg = scenario.mc
+def _run_chsh(
+    sid: str, cfg: SampleConfig | None, degrees: list[float], directions: list[Direction],
+    option_names: list[str], assume_ci: bool, annotation: str | None,
+) -> list[ResultRow]:
+    a_deg, ap_deg, b_deg, bp_deg = degrees
+    a, a_prime, b, b_prime = directions
+    quad = SettingsQuad(a, a_prime, b, b_prime)
 
     rows: list[ResultRow] = []
 
     pairs = [
-        (f"E(a={_fmt_angle(a_deg)},b={_fmt_angle(b_deg)})", a, b, 1.0),
-        (f"E(a={_fmt_angle(a_deg)},b={_fmt_angle(bp_deg)})", a, b_prime, -1.0),
-        (f"E(a={_fmt_angle(ap_deg)},b={_fmt_angle(b_deg)})", a_prime, b, 1.0),
-        (f"E(a={_fmt_angle(ap_deg)},b={_fmt_angle(bp_deg)})", a_prime, b_prime, 1.0),
+        (f"E(a={a_deg:g},b={b_deg:g})", a, b, 1.0),
+        (f"E(a={a_deg:g},b={bp_deg:g})", a, b_prime, -1.0),
+        (f"E(a={ap_deg:g},b={b_deg:g})", a_prime, b, 1.0),
+        (f"E(a={ap_deg:g},b={bp_deg:g})", a_prime, b_prime, 1.0),
     ]
     pair_estimates: list[EmpiricalEstimate] = []
     for stream, (name, alpha, beta, _) in zip(_PAIR_STREAMS, pairs):
@@ -510,7 +523,7 @@ def _run_chsh(scenario: Scenario) -> list[ResultRow]:
     if s_value > CLASSICAL_BOUND:
         s_flags.append("chsh_violated")
     if annotation:
-        s_flags.append(str(annotation))
+        s_flags.append(annotation)
     s_mc_value = s_mc_se = None
     if cfg is not None:
         s_mc_value, s_mc_se = _signed_sum(
@@ -529,7 +542,7 @@ def _run_chsh(scenario: Scenario) -> list[ResultRow]:
     for position, (name, theta, report) in enumerate(
         zip(option_names, option_dirs, verdict.reports)
     ):
-        tag = "no_remote" if theta is None else f"theta={_fmt_angle(theta.degrees)}"
+        tag = "no_remote" if theta is None else f"theta={theta.degrees:g}"
         ci_est = None
         if cfg is not None and theta is not None:
             ci_est = mc.estimate_ci_correlation(
@@ -570,16 +583,13 @@ def _run_chsh(scenario: Scenario) -> list[ResultRow]:
     return rows
 
 
-def _run_counterfactual(scenario: Scenario) -> list[ResultRow]:
-    params = scenario.parameters
-    sid = scenario.scenario_id
-    theta = Direction.from_degrees(float(params["theta_degrees"]))
-    a = Direction.from_degrees(float(params["a_degrees"]))
-    a_prime = Direction.from_degrees(float(params["a_prime_degrees"]))
+def _run_counterfactual(
+    sid: str, cfg: SampleConfig | None, theta: Direction, a: Direction, a_prime: Direction,
+) -> list[ResultRow]:
     report = report_for_option(theta, a, a_prime)
     ci_est = None
-    if scenario.mc is not None:
-        ci_est = mc.estimate_ci_correlation(theta, a, a_prime, scenario.mc, 0)
+    if cfg is not None:
+        ci_est = mc.estimate_ci_correlation(theta, a, a_prime, cfg, 0)
     ci_mc_value, ci_mc_se = _mc_fields(ci_est)
     return [
         ResultRow(
@@ -592,18 +602,7 @@ def _run_counterfactual(scenario: Scenario) -> list[ResultRow]:
     ]
 
 
-def _box_from_parameters(params: dict) -> nsb.NsBox:
-    if "isotropic_p" in params:
-        return nsb.make_isotropic(float(params["isotropic_p"]))
-    if "correlators" in params:
-        return nsb.from_correlators(*(float(e) for e in params["correlators"]))
-    return nsb.from_labeled_dict(params["box"])
-
-
-def _run_nsbox(scenario: Scenario) -> list[ResultRow]:
-    sid = scenario.scenario_id
-    box = _box_from_parameters(scenario.parameters)
-    cfg = scenario.mc
+def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[ResultRow]:
     rows: list[ResultRow] = []
 
     p_iso = nsb.isotropic_parameter(box)
@@ -675,16 +674,14 @@ def _run_nsbox(scenario: Scenario) -> list[ResultRow]:
     return rows
 
 
-def _run_classical(scenario: Scenario) -> list[ResultRow]:
-    params = scenario.parameters
-    sid = scenario.scenario_id
-    cfg = scenario.mc
-    if params["variant"] == "coin":
+def _run_classical(
+    sid: str, cfg: SampleConfig | None, rc: float | None, bs: float | None,
+) -> list[ResultRow]:
+    """The coin's row if rc and bs are None, else the shapes' row."""
+    if rc is None:
         est = mc.estimate_coin_correlation(cfg, 0) if cfg is not None else None
         mc_value, mc_se = _mc_fields(est)
         return [ResultRow(sid, "rho", 0.0, mc_value, mc_se)]
-    rc = float(params.get("red_given_cube", 0.75))
-    bs = float(params.get("blue_given_sphere", 0.75))
     est = None
     if cfg is not None:
         est = mc.estimate_shapes_correlation(cfg, 0, rc, bs)
@@ -692,13 +689,26 @@ def _run_classical(scenario: Scenario) -> list[ResultRow]:
     return [ResultRow(sid, "rho", mc.shapes_rho(rc, bs), mc_value, mc_se)]
 
 
-#: Each scenario kind's (validator, runner); a sweep runs through sweep_columns.
+def _run_sweep(
+    sid: str, cfg: None, theta: bool, start: float, step: float, size: int,
+    a: Direction | None, a_prime: Direction | None,
+) -> ColumnBlocks:
+    if theta:
+        headers = ["scenario", "theta_degrees", "rho_ci", "info_bits"]
+    else:
+        headers = ["scenario", "isotropic_p", "s_ns", "s_e", "rho_min", "rho_ci"]
+    return ColumnBlocks(headers, _sweep_blocks(sid, theta, start, step, size, a, a_prime))
+
+
+#: Each scenario kind's (validator, evaluator). A validator notes the problems
+#: of its kind's parameters and returns the values it checked, which the
+#: evaluator takes after the scenario id and Monte Carlo configuration.
 _KINDS = {
     "chsh": (_validate_chsh, _run_chsh),
     "counterfactual": (_validate_counterfactual, _run_counterfactual),
     "nsbox": (_validate_nsbox, _run_nsbox),
     "classical": (_validate_classical, _run_classical),
-    "sweep": (_validate_sweep, None),
+    "sweep": (_validate_sweep, _run_sweep),
 }
 KINDS = tuple(_KINDS)
 
@@ -709,16 +719,30 @@ def run(scenario: Scenario) -> list[ResultRow]:
     Raises ValidationError (with one message per field problem) for
     malformed scenarios; sweep scenarios go through :func:`sweep_columns`.
     """
-    problems = validate_scenario(scenario)
+    return _evaluate(scenario, sweep=False)
+
+
+def sweep_columns(scenario: Scenario) -> ColumnBlocks:
+    """Execute a sweep scenario, analytic only: validated now, evaluated
+    _SWEEP_BLOCK grid points at a time as its blocks are read."""
+    return _evaluate(scenario, sweep=True)
+
+
+def _evaluate(scenario: Scenario, sweep: bool):
+    """Check the scenario once, then hand the values its kind's validator
+    checked to the kind's evaluator."""
+    problems, checked = _checked(scenario)
     if problems:
         raise ValidationError(problems)
-    _, runner = _KINDS[scenario.kind]
-    if runner is None:
+    if sweep and scenario.kind != "sweep":
+        raise ValidationError(f"expected a sweep scenario, got kind {scenario.kind!r}")
+    if scenario.kind == "sweep" and not sweep:
         raise ValidationError(
             "sweep scenarios produce grid rows; run them with sweep_columns "
             "or the sweep command"
         )
-    return runner(scenario)
+    _, evaluate = _KINDS[scenario.kind]
+    return evaluate(scenario.scenario_id, scenario.mc, *checked)
 
 
 def grid_points(start: float, stop: float, step: float) -> list[float]:
@@ -743,33 +767,17 @@ class ColumnBlocks(NamedTuple):
     blocks: Iterator[list[list]]
 
 
-def sweep_columns(scenario: Scenario) -> ColumnBlocks:
-    """Execute a sweep scenario, analytic only: validated now, evaluated
-    _SWEEP_BLOCK grid points at a time as its blocks are read."""
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ValidationError(problems)
-    if scenario.kind != "sweep":
-        raise ValidationError(f"expected a sweep scenario, got kind {scenario.kind!r}")
-    if scenario.parameters["parameter"] == "theta_degrees":
-        headers = ["scenario", "theta_degrees", "rho_ci", "info_bits"]
-    else:
-        headers = ["scenario", "isotropic_p", "s_ns", "s_e", "rho_min", "rho_ci"]
-    return ColumnBlocks(headers, _sweep_blocks(scenario.scenario_id, scenario.parameters))
-
-
-def _sweep_blocks(sid: str, params: dict) -> Iterator[list[list]]:
-    start, step = float(params["start"]), float(params["step"])
-    size = _grid_steps(start, float(params["stop"]), step) + 1
-    a = Direction.from_degrees(float(params.get("a_degrees", 0.0)))
-    a_prime = Direction.from_degrees(float(params.get("a_prime_degrees", 90.0)))
+def _sweep_blocks(
+    sid: str, theta: bool, start: float, step: float, size: int,
+    a: Direction | None, a_prime: Direction | None,
+) -> Iterator[list[list]]:
     for lo in range(0, size, _SWEEP_BLOCK):
         # These points of grid_points(start, stop, step).
         grid = [start + i * step for i in range(lo, min(lo + _SWEEP_BLOCK, size))]
-        if params["parameter"] == "theta_degrees":
+        if theta:
             rho_ci = [
-                rho_conditional_independence(Direction.from_degrees(theta), a, a_prime)
-                for theta in grid
+                rho_conditional_independence(Direction.from_degrees(degrees), a, a_prime)
+                for degrees in grid
             ]
             columns = [grid, rho_ci, [info_leakage(0.5 * (1.0 + r)) for r in rho_ci]]
         else:
@@ -777,4 +785,3 @@ def _sweep_blocks(sid: str, params: dict) -> Iterator[list[list]]:
             # rho_ci_ns(q) without its domain check, which the clip makes moot.
             columns = [p, *nsb.isotropic_sweep(p), [(2.0 * q - 1.0) ** 2 for q in p]]
         yield [[sid] * len(grid), *columns]
-

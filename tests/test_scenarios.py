@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,19 @@ class TestNsboxKind:
         assert rows["chsh_s"].analytic == pytest.approx(2.0, abs=1e-12)
         assert "isotropic_p" in rows  # equal target rates on every pair
 
+    def test_run_parses_and_checks_an_explicit_box_once(self):
+        # The validator hands the box it built and checked to the evaluator.
+        scenario = Scenario(
+            scenario_id="pr-explicit", kind="nsbox",
+            parameters={"box": to_labeled_dict(nsb.make_isotropic(1.0))},
+        )
+        with mock.patch.object(nsb, "from_labeled_dict", wraps=nsb.from_labeled_dict) as parse, \
+                mock.patch.object(
+                    nsb, "validate_no_signalling", wraps=nsb.validate_no_signalling
+                ) as check:
+            run(scenario)
+        assert (parse.call_count, check.call_count) == (1, 1)
+
     def test_signalling_box_rejected_at_validation(self):
         table = to_labeled_dict(nsb.make_isotropic(1.0))
         table["P(0,0|0,0)"] = 0.6  # breaks normalization and marginals
@@ -377,6 +391,16 @@ class TestValidation:
                 assert main(argv) == 1
             assert out.getvalue() == ""
             assert "'b' 3 times" in err.getvalue()
+
+    def test_chsh_null_remote_options_take_the_default(self):
+        # Validation reads a null list as absent, and so does the run.
+        params = {
+            "a_degrees": 0.0, "a_prime_degrees": 90.0, "b_degrees": 45.0,
+            "b_prime_degrees": 135.0,
+        }
+        scenario = self.mk("chsh", dict(params, remote_options=None))
+        assert validate_scenario(scenario) == []
+        assert run(scenario) == run(self.mk("chsh", params))
 
     def test_chsh_extra_parameter_rejected(self):
         problems = validate_scenario(
