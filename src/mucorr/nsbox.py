@@ -59,14 +59,6 @@ class NsBox:
             ) from None
         self._win, self._corr = _rates(self._t)
 
-    @classmethod
-    def _of(cls, entries: list[float]) -> NsBox:
-        """The box of 16 floats in table order, taken as they are."""
-        box = cls.__new__(cls)
-        box._t = _nest(entries)
-        box._win, box._corr = _rates(box._t)
-        return box
-
     def __repr__(self) -> str:
         return f"NsBox({self._t!r})"
 
@@ -84,7 +76,8 @@ def _nested(value, depth: int):
         return float(value)
     if len(value) != 2:
         raise ValueError(value)
-    return tuple(_nested(item, depth - 1) for item in value)
+    x, y = value
+    return (_nested(x, depth - 1), _nested(y, depth - 1))
 
 
 def _nest(entries: list) -> tuple:
@@ -116,7 +109,7 @@ def make_isotropic(p: float) -> NsBox:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"isotropic parameter must lie in [0, 1], got {p!r}")
     hit, miss = p / 2.0, (1.0 - p) / 2.0
-    return NsBox._of([hit if win else miss for win in _WIN])
+    return NsBox(_nest([hit if win else miss for win in _WIN]))
 
 
 def isotropic_sweep(p) -> tuple[list[float], list[float], list[float]]:
@@ -149,10 +142,10 @@ def from_correlators(e00: float, e01: float, e10: float, e11: float) -> NsBox:
         if not -1.0 <= e <= 1.0:
             raise DomainError(f"correlator must lie in [-1, 1], got {e!r}")
     corr = ((float(e00), float(e01)), (float(e10), float(e11)))
-    return NsBox._of([
+    return NsBox(_nest([
         (1.0 + corr[a][b]) / 4.0 if A == B else (1.0 - corr[a][b]) / 4.0
         for A, B, a, b in _CELLS
-    ])
+    ]))
 
 
 class ConstraintViolation(NamedTuple):
@@ -215,26 +208,11 @@ def correlator(box: NsBox, a_in: int, b_in: int) -> float:
     return box._corr[a_in][b_in]
 
 
-# win[a][b] and corr[a][b] are the (2, 2) tuples of a box.
-def _parity_sum(win):
-    (w00, w01), (w10, w11) = win
-    return abs(w00 + w01 + w10 + w11)
-
-
-def _e_form(corr):
-    (e00, e01), (e10, e11) = corr
-    return e00 + e01 + e10 - e11
-
-
-def _rho_min(win, b_setting: int):
-    # max(-1.0, x) gives -1.0 for a nan x.
-    return max(-1.0, 2.0 * (win[0][b_setting] + win[1][b_setting]) - 3.0)
-
-
 def chsh_s_ns(box: NsBox) -> float:
     """Parity-form CHSH value: the sum over input pairs of the probability
     that A xor B = ab. Ranges over [0, 4]; 3 is the classical bound."""
-    return _parity_sum(box._win)
+    (w00, w01), (w10, w11) = box._win
+    return abs(w00 + w01 + w10 + w11)
 
 
 def chsh_e_form(box: NsBox) -> float:
@@ -245,7 +223,8 @@ def chsh_e_form(box: NsBox) -> float:
     (:func:`chsh_s_e`) also exceeds 2 for p < 0.25, where the box wins
     the complementary parity game instead.
     """
-    return _e_form(box._corr)
+    (e00, e01), (e10, e11) = box._corr
+    return e00 + e01 + e10 - e11
 
 
 def chsh_s_e(box: NsBox) -> float:
@@ -267,7 +246,9 @@ def rho_min_ns(box: NsBox, b_setting: int) -> float:
     """
     if b_setting not in (0, 1):
         raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
-    return _rho_min(box._win, b_setting)
+    win = box._win
+    # max(-1.0, x) gives -1.0 for a nan x.
+    return max(-1.0, 2.0 * (win[0][b_setting] + win[1][b_setting]) - 3.0)
 
 
 def rho_ci_ns(p: float) -> float:
@@ -376,5 +357,5 @@ def from_labeled_dict(entries: dict[str, float]) -> NsBox:
     )
     if problems:
         raise ValidationError(problems)
-    return NsBox._of(table)
+    return NsBox(_nest(table))
 
