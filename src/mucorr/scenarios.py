@@ -484,10 +484,11 @@ def _mc_fields(est: EmpiricalEstimate | None) -> tuple[float | None, float | Non
 
 def _signed_sum(signs, estimates: list[EmpiricalEstimate]) -> tuple[float, float]:
     """|sum of sign * value| of independent estimates, and its standard
-    error sqrt(sum of se^2)."""
+    error sqrt(sum of se^2), both summed exactly (the built-in sum() rounds
+    differently from Python 3.12 on)."""
     return (
-        abs(sum(sign * est.value for sign, est in zip(signs, estimates))),
-        math.sqrt(sum(est.std_error ** 2 for est in estimates)),
+        abs(math.fsum(sign * est.value for sign, est in zip(signs, estimates))),
+        math.sqrt(math.fsum(est.std_error ** 2 for est in estimates)),
     )
 
 

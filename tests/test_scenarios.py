@@ -231,6 +231,20 @@ class TestMonteCarloRows:
         ):
             assert rows[name].mc_value is None
 
+    def test_chsh_s_estimate_sums_its_four_pairs_exactly(self):
+        # Seed 0 rounds the standard error, seed 3 the value, differently under
+        # the built-in sum() of Python 3.11, so the row would depend on Python.
+        for seed in (0, 3):
+            scenario = builtin_scenarios()["paper-standard"]._replace(
+                mc=SampleConfig(n_samples=1000, seed=seed)
+            )
+            rows = run(scenario)
+            pairs, s_row = rows[:4], rows[4]
+            assert s_row.quantity == "chsh_s"
+            signed = [sign * r.mc_value for sign, r in zip((1.0, -1.0, 1.0, 1.0), pairs)]
+            assert s_row.mc_value == abs(math.fsum(signed))
+            assert s_row.mc_std_error == math.sqrt(math.fsum(r.mc_std_error ** 2 for r in pairs))
+
     def test_runs_are_reproducible(self):
         scenario = Scenario(
             scenario_id="repro",
