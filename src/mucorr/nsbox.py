@@ -51,7 +51,7 @@ class NsBox:
 
     def __init__(self, table):
         try:
-            self._t = _nested(table, 4)
+            self._t = _nest(_cells(table))
         except (TypeError, ValueError):
             raise DomainError(
                 "box table must be 16 numbers in shape (2, 2, 2, 2), "
@@ -67,17 +67,19 @@ class NsBox:
         return self._t[a_out][b_out][a_in][b_in]
 
 
-def _nested(value, depth: int):
-    """value as `depth` levels of pairs around real numbers, in tuples of
-    floats; TypeError or ValueError if it is not that."""
-    if depth == 0:
-        if not isinstance(value, numbers.Real):
-            raise TypeError(value)
-        return float(value)
-    if len(value) != 2:
-        raise ValueError(value)
-    x, y = value
-    return (_nested(x, depth - 1), _nested(y, depth - 1))
+def _cells(table) -> list[float]:
+    """The 16 real numbers of four levels of nested pairs, in table order
+    as floats; TypeError or ValueError if the table is not that."""
+    cells = [table]
+    for _ in range(4):
+        if set(map(len, cells)) != {2}:
+            raise ValueError(table)
+        cells = [item for pair in cells for item in pair]
+    if set(map(type, cells)) != {float} and not all(
+        isinstance(x, numbers.Real) for x in cells
+    ):
+        raise TypeError(table)
+    return list(map(float, cells))
 
 
 def _nest(entries: list) -> tuple:
