@@ -192,22 +192,16 @@ def _check_extra_keys(params: dict, allowed: set[str], problems: list[str]) -> N
             problems.append(f"parameters.{shown} is not a recognized parameter")
 
 
-def _check_angles(params: dict, keys: tuple[str, ...], problems: list[str]) -> tuple[list, list]:
+def _check_angles(params: dict, keys: tuple[str, ...], problems: list[str]):
     """The required angles in degrees, and as Directions (None where not valid)."""
     degrees = [_check_number(params, key, problems) for key in keys]
     return degrees, [None if d is None else Direction.from_degrees(d) for d in degrees]
 
 
 def _validate_chsh(params: dict, problems: list[str]):
-    _check_extra_keys(
-        params,
-        {"a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees",
-         "remote_options", "annotation", "assume_ci"},
-        problems,
-    )
-    degrees, directions = _check_angles(
-        params, ("a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees"), problems
-    )
+    angles = ("a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees")
+    _check_extra_keys(params, {*angles, "remote_options", "annotation", "assume_ci"}, problems)
+    degrees, directions = _check_angles(params, angles, problems)
     a, a_prime = directions[:2]
     if a is not None and a_prime is not None:
         try:
@@ -245,13 +239,9 @@ def _validate_chsh(params: dict, problems: list[str]):
 
 
 def _validate_counterfactual(params: dict, problems: list[str]):
-    _check_extra_keys(
-        params, {"theta_degrees", "a_degrees", "a_prime_degrees"}, problems
-    )
-    _, directions = _check_angles(
-        params, ("theta_degrees", "a_degrees", "a_prime_degrees"), problems
-    )
-    return directions
+    angles = ("theta_degrees", "a_degrees", "a_prime_degrees")
+    _check_extra_keys(params, set(angles), problems)
+    return _check_angles(params, angles, problems)[1]
 
 
 def _validate_nsbox(params: dict, problems: list[str]):
@@ -311,12 +301,8 @@ def _validate_classical(params: dict, problems: list[str]):
     _check_extra_keys(
         params, {"variant", "red_given_cube", "blue_given_sphere"}, problems
     )
-    rc = _check_number(
-        params, "red_given_cube", problems, default=0.75, low=0.0, high=1.0
-    )
-    bs = _check_number(
-        params, "blue_given_sphere", problems, default=0.75, low=0.0, high=1.0
-    )
+    rc = _check_number(params, "red_given_cube", problems, default=0.75, low=0.0, high=1.0)
+    bs = _check_number(params, "blue_given_sphere", problems, default=0.75, low=0.0, high=1.0)
     if rc is not None and bs is not None and abs(rc - bs) >= 1.0:
         problems.append(
             "color must not be deterministic: |red_given_cube - "
@@ -389,7 +375,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return _checked(scenario)[0]
 
 
-def _checked(scenario: Scenario) -> tuple[list[str], tuple | None]:
+def _checked(scenario: Scenario) -> tuple[list[str], list | tuple | None]:
     """The problems of `validate_scenario`, and the values that the
     validator of the scenario's kind checked."""
     problems: list[str] = []
@@ -476,6 +462,10 @@ def load_scenario_file(path: str) -> Scenario:
     return scenario
 
 
+def _fmt_angle(degrees: float) -> str:
+    return f"{degrees:g}"
+
+
 def _mc_fields(est: EmpiricalEstimate | None) -> tuple[float | None, float | None]:
     if est is None:
         return None, None
@@ -503,10 +493,10 @@ def _run_chsh(
     rows: list[ResultRow] = []
 
     pairs = [
-        (f"E(a={a_deg:g},b={b_deg:g})", a, b, 1.0),
-        (f"E(a={a_deg:g},b={bp_deg:g})", a, b_prime, -1.0),
-        (f"E(a={ap_deg:g},b={b_deg:g})", a_prime, b, 1.0),
-        (f"E(a={ap_deg:g},b={bp_deg:g})", a_prime, b_prime, 1.0),
+        (f"E(a={_fmt_angle(a_deg)},b={_fmt_angle(b_deg)})", a, b, 1.0),
+        (f"E(a={_fmt_angle(a_deg)},b={_fmt_angle(bp_deg)})", a, b_prime, -1.0),
+        (f"E(a={_fmt_angle(ap_deg)},b={_fmt_angle(b_deg)})", a_prime, b, 1.0),
+        (f"E(a={_fmt_angle(ap_deg)},b={_fmt_angle(bp_deg)})", a_prime, b_prime, 1.0),
     ]
     pair_estimates: list[EmpiricalEstimate] = []
     for stream, (name, alpha, beta, _) in zip(_PAIR_STREAMS, pairs):
@@ -543,7 +533,7 @@ def _run_chsh(
     for position, (name, theta, report) in enumerate(
         zip(option_names, option_dirs, verdict.reports)
     ):
-        tag = "no_remote" if theta is None else f"theta={theta.degrees:g}"
+        tag = "no_remote" if theta is None else f"theta={_fmt_angle(theta.degrees)}"
         ci_est = None
         if cfg is not None and theta is not None:
             ci_est = mc.estimate_ci_correlation(
