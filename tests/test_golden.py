@@ -5,8 +5,11 @@ Each file under `golden/` is what `mucorr run ... --mc --samples 1000
 full-precision JSON. A change to the sampler, to how a table reaches it, or
 to Python's MT19937 stream shows here as a changed value; in the JSON, so
 does a last-bit change in how estimates are combined. The PR box draws only
-its winning cells, so its rows are exact; the correlator box and
-`paper-standard` carry sampling noise in every estimate.
+its winning cells, so its rows are exact; the other files carry sampling
+noise in every estimate. Together they pin each kind's substreams: a chsh
+or box pair draws from streams 0-3, a chsh option's rho_ci from 4 plus the
+option's position in `remote_options`, and a counterfactual or classical
+row from stream 0.
 """
 import json
 import os
@@ -23,6 +26,25 @@ CORRELATOR_BOX = {
     "id": "correlator-box", "kind": "nsbox",
     "parameters": {"correlators": [0.3, -0.2, 0.7, -0.5]},
 }
+COUNTERFACTUAL = {
+    "id": "counterfactual", "kind": "counterfactual",
+    "parameters": {"theta_degrees": 30, "a_degrees": 0, "a_prime_degrees": 90},
+}
+#: b' listed first: its rho_ci estimate draws from stream 4, the first
+#: option's, and the remote-free option second draws nothing.
+CHSH_OPTIONS = {
+    "id": "chsh-options", "kind": "chsh",
+    "parameters": {"a_degrees": 0, "a_prime_degrees": 90, "b_degrees": 45,
+                   "b_prime_degrees": 135, "remote_options": ["b_prime", "none"]},
+}
+
+
+#: The documents that the golden files without a scenario name were run on.
+DOCUMENTS = {
+    "correlator-box.csv": CORRELATOR_BOX,
+    "counterfactual.csv": COUNTERFACTUAL,
+    "chsh-options.csv": CHSH_OPTIONS,
+}
 
 
 @pytest.mark.parametrize("scenario, golden", [
@@ -30,11 +52,15 @@ CORRELATOR_BOX = {
     ("scenarios/pr-box-table.json", "pr-box-table.csv"),
     ("paper-standard", "paper-standard.csv"),
     (None, "correlator-box.csv"),
+    ("paper-coin", "paper-coin.csv"),
+    ("paper-shapes", "paper-shapes.csv"),
+    (None, "counterfactual.csv"),
+    (None, "chsh-options.csv"),
 ])
 def test_seeded_csv_is_unchanged(tmp_path, scenario, golden):
     if scenario is None:
-        scenario = tmp_path / "correlator-box.json"
-        scenario.write_text(json.dumps(CORRELATOR_BOX))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(DOCUMENTS[golden]))
     assert seeded_run(scenario, "csv") == (GOLDEN / golden).read_bytes()
 
 
