@@ -466,20 +466,51 @@ def _fmt_angle(degrees: float) -> str:
     return f"{degrees:g}"
 
 
-def _mc_fields(est: EmpiricalEstimate | None) -> tuple[float | None, float | None]:
+def _row(
+    sid: str, quantity: str, analytic: float,
+    est: EmpiricalEstimate | None = None, flags: str = "",
+) -> ResultRow:
+    """One result row, its mc fields filled from the estimate if there is one."""
     if est is None:
-        return None, None
-    return est.value, est.std_error
+        return ResultRow(sid, quantity, analytic, flags=flags)
+    return ResultRow(sid, quantity, analytic, est.value, est.std_error, flags)
 
 
-def _signed_sum(signs, estimates: list[EmpiricalEstimate]) -> tuple[float, float]:
-    """|sum of sign * value| of independent estimates, and its standard
+def _signed_sum(signs, estimates: list) -> EmpiricalEstimate | None:
+    """|sum of sign * value| of independent estimates, with the standard
     error sqrt(sum of se^2), both summed exactly (the built-in sum() rounds
-    differently from Python 3.12 on)."""
-    return (
+    differently from Python 3.12 on); None without estimates (no Monte
+    Carlo). Its sample count is that of each term."""
+    if None in estimates:
+        return None
+    return EmpiricalEstimate(
         abs(math.fsum(sign * est.value for sign, est in zip(signs, estimates))),
         math.sqrt(math.fsum(est.std_error ** 2 for est in estimates)),
+        estimates[0].n_samples,
     )
+
+
+def _report_rows(
+    sid: str, report, ci_est: EmpiricalEstimate | None, suffix: str = "", tag: str = "",
+) -> list[ResultRow]:
+    """The four rows of a counterfactual report, each quantity named with
+    the suffix and flagged with the tag."""
+    positive = "rho_min_positive" if report.nonlocal_flag else ""
+    min_flags = ";".join(filter(None, (tag, positive)))
+    return [
+        _row(sid, f"rho_min{suffix}", report.rho_min, flags=min_flags),
+        _row(sid, f"rho_ci{suffix}", report.rho_ci, ci_est, tag),
+        _row(sid, f"info_bits{suffix}", report.info_bits, flags=tag),
+        _row(sid, f"total_bits{suffix}", report.total_bits, flags=tag),
+    ]
+
+
+def _verdict_rows(sid: str, pairs) -> list[ResultRow]:
+    """One row per (name, verdict): 1.0 and "true", or 0.0 and "false"."""
+    return [
+        _row(sid, name, 1.0 if value else 0.0, flags="true" if value else "false")
+        for name, value in pairs
+    ]
 
 
 def _run_chsh(
@@ -490,24 +521,22 @@ def _run_chsh(
     a, a_prime, b, b_prime = directions
     quad = SettingsQuad(a, a_prime, b, b_prime)
 
-    rows: list[ResultRow] = []
-
     pairs = [
         (f"E(a={_fmt_angle(a_deg)},b={_fmt_angle(b_deg)})", a, b, 1.0),
         (f"E(a={_fmt_angle(a_deg)},b={_fmt_angle(bp_deg)})", a, b_prime, -1.0),
         (f"E(a={_fmt_angle(ap_deg)},b={_fmt_angle(b_deg)})", a_prime, b, 1.0),
         (f"E(a={_fmt_angle(ap_deg)},b={_fmt_angle(bp_deg)})", a_prime, b_prime, 1.0),
     ]
-    pair_estimates: list[EmpiricalEstimate] = []
-    for stream, (name, alpha, beta, _) in zip(_PAIR_STREAMS, pairs):
-        est = None
-        if cfg is not None:
-            est = mc.estimate_pair_correlation(alpha, beta, cfg, stream)
-            pair_estimates.append(est)
-        mc_value, mc_se = _mc_fields(est)
-        rows.append(ResultRow(
-            sid, name, correlation(alpha, beta), mc_value, mc_se,
-        ))
+    pair_estimates = [None] * 4
+    if cfg is not None:
+        pair_estimates = [
+            mc.estimate_pair_correlation(alpha, beta, cfg, stream)
+            for stream, (_, alpha, beta, _) in zip(_PAIR_STREAMS, pairs)
+        ]
+    rows = [
+        _row(sid, name, correlation(alpha, beta), est)
+        for (name, alpha, beta, _), est in zip(pairs, pair_estimates)
+    ]
 
     s_value = chsh_s(quad)
     s_flags = [f"class={classify_chsh(s_value).value}"]
@@ -515,14 +544,8 @@ def _run_chsh(
         s_flags.append("chsh_violated")
     if annotation:
         s_flags.append(annotation)
-    s_mc_value = s_mc_se = None
-    if cfg is not None:
-        s_mc_value, s_mc_se = _signed_sum(
-            [sign for (_, _, _, sign) in pairs], pair_estimates
-        )
-    rows.append(ResultRow(
-        sid, "chsh_s", s_value, s_mc_value, s_mc_se, ";".join(s_flags),
-    ))
+    s_est = _signed_sum([sign for (_, _, _, sign) in pairs], pair_estimates)
+    rows.append(_row(sid, "chsh_s", s_value, s_est, ";".join(s_flags)))
 
     option_dirs: list[Direction | None] = [
         {"none": None, "b": b, "b_prime": b_prime}[name] for name in option_names
@@ -539,38 +562,16 @@ def _run_chsh(
             ci_est = mc.estimate_ci_correlation(
                 theta, a, a_prime, cfg, _OPTION_STREAM_BASE + position
             )
-        ci_mc_value, ci_mc_se = _mc_fields(ci_est)
-        min_flags = [tag] + (["rho_min_positive"] if report.nonlocal_flag else [])
-        rows.append(ResultRow(
-            sid, f"rho_min[remote={name}]", report.rho_min,
-            flags=";".join(min_flags),
-        ))
-        rows.append(ResultRow(
-            sid, f"rho_ci[remote={name}]", report.rho_ci,
-            ci_mc_value, ci_mc_se, tag,
-        ))
-        rows.append(ResultRow(
-            sid, f"info_bits[remote={name}]", report.info_bits, flags=tag,
-        ))
-        rows.append(ResultRow(
-            sid, f"total_bits[remote={name}]", report.total_bits, flags=tag,
-        ))
+        rows.extend(_report_rows(sid, report, ci_est, f"[remote={name}]", tag))
 
     best_theta, best_bits = max_info_direction(a, a_prime)
-    rows.append(ResultRow(
-        sid, "max_info_theta_degrees", best_theta.degrees,
-    ))
-    rows.append(ResultRow(sid, "max_info_bits", best_bits))
-
-    for name, value in (
+    rows.append(_row(sid, "max_info_theta_degrees", best_theta.degrees))
+    rows.append(_row(sid, "max_info_bits", best_bits))
+    rows.extend(_verdict_rows(sid, (
         ("verdict_rho_min_route", verdict.rho_min_route),
         ("verdict_ci_route", verdict.ci_route),
         ("verdict_nonlocal", verdict.is_nonlocal),
-    ):
-        rows.append(ResultRow(
-            sid, name, 1.0 if value else 0.0,
-            flags="true" if value else "false",
-        ))
+    )))
     return rows
 
 
@@ -581,16 +582,7 @@ def _run_counterfactual(
     ci_est = None
     if cfg is not None:
         ci_est = mc.estimate_ci_correlation(theta, a, a_prime, cfg, 0)
-    ci_mc_value, ci_mc_se = _mc_fields(ci_est)
-    return [
-        ResultRow(
-            sid, "rho_min", report.rho_min,
-            flags="rho_min_positive" if report.nonlocal_flag else "",
-        ),
-        ResultRow(sid, "rho_ci", report.rho_ci, ci_mc_value, ci_mc_se),
-        ResultRow(sid, "info_bits", report.info_bits),
-        ResultRow(sid, "total_bits", report.total_bits),
-    ]
+    return _report_rows(sid, report, ci_est)
 
 
 def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[ResultRow]:
@@ -598,70 +590,48 @@ def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[Resul
 
     p_iso = nsb.isotropic_parameter(box)
     if p_iso is not None:
-        rows.append(ResultRow(sid, "isotropic_p", p_iso))
+        rows.append(_row(sid, "isotropic_p", p_iso))
 
-    rate_ests: list[EmpiricalEstimate] = []
-    corr_ests: list[EmpiricalEstimate] = []
     input_pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for stream, (a_in, b_in) in zip(_PAIR_STREAMS, input_pairs):
-        rate_est = corr_est = None
-        if cfg is not None:
-            rate_est, corr_est = mc.estimate_ns_pair(box, a_in, b_in, cfg, stream)
-            rate_ests.append(rate_est)
-            corr_ests.append(corr_est)
-        rate_mc, rate_se = _mc_fields(rate_est)
-        rows.append(ResultRow(
-            sid, f"target_rate(a={a_in},b={b_in})",
-            nsb.target_probability(box, a_in, b_in), rate_mc, rate_se,
-        ))
-    for (a_in, b_in), corr_est in zip(
-        input_pairs, corr_ests or [None] * 4
-    ):
-        corr_mc, corr_se = _mc_fields(corr_est)
-        rows.append(ResultRow(
-            sid, f"E(a={a_in},b={b_in})",
-            nsb.correlator(box, a_in, b_in), corr_mc, corr_se,
-        ))
+    rate_ests = corr_ests = [None] * 4
+    if cfg is not None:
+        rate_ests, corr_ests = zip(*[
+            mc.estimate_ns_pair(box, a_in, b_in, cfg, stream)
+            for stream, (a_in, b_in) in zip(_PAIR_STREAMS, input_pairs)
+        ])
+    for (a_in, b_in), est in zip(input_pairs, rate_ests):
+        rate = nsb.target_probability(box, a_in, b_in)
+        rows.append(_row(sid, f"target_rate(a={a_in},b={b_in})", rate, est))
+    for (a_in, b_in), est in zip(input_pairs, corr_ests):
+        rows.append(_row(sid, f"E(a={a_in},b={b_in})", nsb.correlator(box, a_in, b_in), est))
 
     classification = nsb.classify_box(box)
-    s_parity = nsb.chsh_s_ns(box)
-    s_e = nsb.chsh_s_e(box)
-    parity_mc = parity_se = corr_form_mc = corr_form_se = None
-    if cfg is not None:
-        parity_mc, parity_se = _signed_sum((1.0, 1.0, 1.0, 1.0), rate_ests)
-        corr_form_mc, corr_form_se = _signed_sum((1.0, 1.0, 1.0, -1.0), corr_ests)
-    rows.append(ResultRow(
-        sid, "chsh_s_parity", s_parity, parity_mc, parity_se,
+    rows.append(_row(
+        sid, "chsh_s_parity", nsb.chsh_s_ns(box), _signed_sum((1.0, 1.0, 1.0, 1.0), rate_ests),
     ))
     s_flags = [f"class={classification.box_class.value}"]
     if classification.chsh_violated:
         s_flags.append("chsh_violated")
-    rows.append(ResultRow(
-        sid, "chsh_s", s_e, corr_form_mc, corr_form_se, ";".join(s_flags),
+    rows.append(_row(
+        sid, "chsh_s", nsb.chsh_s_e(box), _signed_sum((1.0, 1.0, 1.0, -1.0), corr_ests),
+        ";".join(s_flags),
     ))
 
     for b_setting in (0, 1):
         value = nsb.rho_min_ns(box, b_setting)
-        rows.append(ResultRow(
+        rows.append(_row(
             sid, f"rho_min[b={b_setting}]", value,
             flags="rho_min_positive" if value > 0.0 else "",
         ))
     for b_setting in (0, 1):
-        rows.append(ResultRow(
-            sid, f"ci_product[b={b_setting}]", nsb.ci_product(box, b_setting),
-        ))
+        rows.append(_row(sid, f"ci_product[b={b_setting}]", nsb.ci_product(box, b_setting)))
     if p_iso is not None:
-        rows.append(ResultRow(sid, "rho_ci", nsb.rho_ci_ns(p_iso)))
-
-    for name, value in (
+        rows.append(_row(sid, "rho_ci", nsb.rho_ci_ns(p_iso)))
+    rows.extend(_verdict_rows(sid, (
         ("verdict_chsh_violated", classification.chsh_violated),
         ("verdict_rho_min_positive", classification.rho_min_positive_some_b),
         ("verdict_ci_rho_positive", classification.ci_rho_positive),
-    ):
-        rows.append(ResultRow(
-            sid, name, 1.0 if value else 0.0,
-            flags="true" if value else "false",
-        ))
+    )))
     return rows
 
 
@@ -671,13 +641,9 @@ def _run_classical(
     """The coin's row if rc and bs are None, else the shapes' row."""
     if rc is None:
         est = mc.estimate_coin_correlation(cfg, 0) if cfg is not None else None
-        mc_value, mc_se = _mc_fields(est)
-        return [ResultRow(sid, "rho", 0.0, mc_value, mc_se)]
-    est = None
-    if cfg is not None:
-        est = mc.estimate_shapes_correlation(cfg, 0, rc, bs)
-    mc_value, mc_se = _mc_fields(est)
-    return [ResultRow(sid, "rho", mc.shapes_rho(rc, bs), mc_value, mc_se)]
+        return [_row(sid, "rho", 0.0, est)]
+    est = mc.estimate_shapes_correlation(cfg, 0, rc, bs) if cfg is not None else None
+    return [_row(sid, "rho", mc.shapes_rho(rc, bs), est)]
 
 
 def _run_sweep(
