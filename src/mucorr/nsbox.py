@@ -14,15 +14,13 @@ import enum
 import itertools
 import math
 import numbers
-import re
 import reprlib
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError, _finite_float
+from .spin import CLASSICAL_BOUND, TSIRELSON_BOUND
 
 CONSTRAINT_TOL = 1e-9
-
-_KEY_RE = re.compile(r"^P\(([01]),([01])\|([01]),([01])\)$")
 
 _BITS = (0, 1)
 #: (a, b) and the other pairs of bits, in index order.
@@ -35,6 +33,8 @@ _WIN = [A ^ B == a & b for A, B, a, b in _CELLS]
 _UNIFORM = [(party, out, a, b) for a, b in _PAIRS for party in "AB" for out in _BITS]
 #: The wire-format keys "P(A,B|a,b)" in table order.
 _TABLE_KEYS = ["P({},{}|{},{})".format(*cell) for cell in _CELLS]
+#: Each wire-format key's index in table order.
+_KEY_INDEX = {key: index for index, key in enumerate(_TABLE_KEYS)}
 
 
 class NsBox:
@@ -273,14 +273,15 @@ def ci_product(box: NsBox, b_setting: int) -> float:
     return (2.0 * w0 - 1.0) * (2.0 * w1 - 1.0)
 
 
-def isotropic_parameter(box: NsBox, tol: float = CONSTRAINT_TOL) -> float | None:
-    """The common target probability p if the box is isotropic, else None."""
+def isotropic_parameter(box: NsBox) -> float | None:
+    """The common target probability p if the box is isotropic (every
+    target rate within CONSTRAINT_TOL of it), else None."""
     probs = [*box._win[0], *box._win[1]]
     try:
         p = math.fsum(probs) / 4.0
     except (ValueError, OverflowError):  # inf + -inf, or a sum past the float range
         return None
-    if all(abs(q - p) <= tol for q in probs):
+    if all(abs(q - p) <= CONSTRAINT_TOL for q in probs):
         return p
     return None
 
@@ -314,15 +315,15 @@ def classify_box(box: NsBox) -> BoxClassification:
     s_e = chsh_s_e(box)
     if all(abs(e) <= CONSTRAINT_TOL for row in box._corr for e in row):
         box_class = BoxClass.INDEPENDENT
-    elif s_e <= 2.0:
+    elif s_e <= CLASSICAL_BOUND:
         box_class = BoxClass.LOCAL_CORRELATED
-    elif s_e <= 2.0 * math.sqrt(2.0):
+    elif s_e <= TSIRELSON_BOUND:
         box_class = BoxClass.QUANTUM_REGION
     else:
         box_class = BoxClass.SUPER_QUANTUM
     return BoxClassification(
         box_class=box_class,
-        chsh_violated=s_e > 2.0,
+        chsh_violated=s_e > CLASSICAL_BOUND,
         rho_min_positive_some_b=(
             rho_min_ns(box, 0) > 0.0 or rho_min_ns(box, 1) > 0.0
         ),
@@ -341,12 +342,10 @@ def from_labeled_dict(entries: dict[str, float]) -> NsBox:
     table = [0.0] * 16
     problems: list[str] = []
     for key, value in entries.items():
-        match = _KEY_RE.match(key)
-        if match is None:
+        cell = _KEY_INDEX.get(key)
+        if cell is None:
             problems.append(f"unrecognized box entry key {key!r}")
             continue
-        # The cell's four bits, A first, are its index in table order.
-        cell = int("".join(match.groups()), 2)
         number = _finite_float(value)
         if number is None:
             problems.append(

@@ -339,6 +339,21 @@ class TestNsboxKind:
                 f"number, got {value!r}"
             ]
 
+    def test_box_key_must_match_exactly(self):
+        # A regex ending in `$` also matches before a final newline, so a key
+        # "P(0,0|0,0)\n" was read as cell 0: beside the real key it passed
+        # silently, and in its place the message named only the missing key.
+        for key in ("P(0,0|0,0)\n", " P(0,0|0,0)", "p(0,0|0,0)", 0, None):
+            unknown = f"parameters.box: unrecognized box entry key {key!r}"
+            table = to_labeled_dict(nsb.make_isotropic(1.0))
+            table[key] = table["P(0,0|0,0)"]
+            scenario = Scenario(scenario_id="bad-box", kind="nsbox", parameters={"box": table})
+            assert validate_scenario(scenario) == [unknown]
+            del table["P(0,0|0,0)"]
+            assert validate_scenario(scenario) == [
+                unknown, "parameters.box: missing box entry P(0,0|0,0)",
+            ]
+
 
 class TestValidation:
     def mk(self, kind: str, parameters: dict) -> Scenario:
