@@ -203,9 +203,6 @@ _JSON_SCALARS = {
 
 def _json_column(values: list) -> list[str]:
     """The values as `json` writes them."""
-    if set(map(type, values)) == {float}:
-        texts = list(map(float.__repr__, values))
-        return list(map(_NON_FINITE.get, texts, texts))
     return [_JSON_SCALARS[type(value)](value) for value in values]
 
 

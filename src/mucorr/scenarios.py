@@ -436,13 +436,13 @@ def load_scenario_file(path: str) -> Scenario:
             problems.append("mc must be an object with n_samples and seed")
         else:
             for key in mc_data:
-                if key not in ("n_samples", "seed"):
+                if key not in SampleConfig._fields:
                     problems.append(f"unknown mc key {key!r}")
             try:
-                sample_config = SampleConfig(
-                    n_samples=mc_data.get("n_samples", 1_000_000),
-                    seed=mc_data.get("seed", 42),
-                )
+                # SampleConfig's own defaults fill what the file leaves out.
+                sample_config = SampleConfig(**{
+                    key: mc_data[key] for key in SampleConfig._fields if key in mc_data
+                })
             except ValueError as exc:
                 problems.append(f"mc: {exc}")
     notes = data.get("notes", [])
