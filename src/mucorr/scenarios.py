@@ -606,16 +606,13 @@ def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[Resul
         rows.append(_row(sid, f"E(a={a_in},b={b_in})", nsb.correlator(box, a_in, b_in), est))
 
     classification = nsb.classify_box(box)
-    rows.append(_row(
-        sid, "chsh_s_parity", nsb.chsh_s_ns(box), _signed_sum((1.0, 1.0, 1.0, 1.0), rate_ests),
-    ))
+    parity_est = _signed_sum((1.0, 1.0, 1.0, 1.0), rate_ests)
+    rows.append(_row(sid, "chsh_s_parity", nsb.chsh_s_ns(box), parity_est))
     s_flags = [f"class={classification.box_class.value}"]
     if classification.chsh_violated:
         s_flags.append("chsh_violated")
-    rows.append(_row(
-        sid, "chsh_s", nsb.chsh_s_e(box), _signed_sum((1.0, 1.0, 1.0, -1.0), corr_ests),
-        ";".join(s_flags),
-    ))
+    s_est = _signed_sum((1.0, 1.0, 1.0, -1.0), corr_ests)
+    rows.append(_row(sid, "chsh_s", nsb.chsh_s_e(box), s_est, ";".join(s_flags)))
 
     for b_setting in (0, 1):
         value = nsb.rho_min_ns(box, b_setting)
