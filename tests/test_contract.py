@@ -1,0 +1,32 @@
+"""The CLI contract: every case of `contract/cases.py` prints what
+`contract/expected.json` recorded, byte for byte, with the same exit code.
+
+A change to the contract re-records the file (`PYTHONPATH=src python
+tests/contract/record.py`) in the same commit, and names every case whose
+result moved. The `help/` and `usage/` cases print argparse's own text,
+whose wording differs between Python versions ("options:" against
+"optional arguments:", quoted choices). On a Python version other than the
+one that recorded the file, those cases keep their exit code and which
+streams are empty; every other case is compared whole on every version.
+"""
+import json
+import sys
+
+from contract.cases import CASES
+from contract.record import EXPECTED, run_all
+
+RECORDED = json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
+def comparable(name: str, result: dict) -> dict:
+    if name.startswith(("help/", "usage/")) and RECORDED["python"] != "%d.%d" % sys.version_info[:2]:
+        return {key: value if key == "exit" else value == [""] for key, value in result.items()}
+    return result
+
+
+def test_every_case_prints_what_was_recorded():
+    results = run_all(CASES)
+    want = RECORDED["cases"]
+    assert list(results) == list(want)
+    changed = [name for name in results if comparable(name, results[name]) != comparable(name, want[name])]
+    assert {name: results[name] for name in changed} == {name: want[name] for name in changed}
