@@ -73,7 +73,7 @@ from .spin import (
     match_probability,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"
 
 # Every public name imported above, and nothing else.
 __all__ = sorted(

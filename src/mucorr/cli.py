@@ -1,13 +1,14 @@
 """Command-line interface: run scenarios, sweep parameters, emit results.
 
-Exit codes: 0 success, 1 validation error (bad arguments, malformed or
-unknown scenario, a Monte Carlo sample too small to estimate from), 2
-runtime error (unwritable output, unexpected failure). Nothing else is
-ever returned.
+Exit codes: 0 success, or a standard output that its reader closed early;
+1 validation error (bad arguments, malformed or unknown scenario, a Monte
+Carlo sample too small to estimate from); 2 runtime error (unwritable
+output, unexpected failure). Nothing else is ever returned.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -127,10 +128,6 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-#: Table lines that emit writes at a time.
-_BLOCK_ROWS = 4096
-
-
 def _cell_column(values: list) -> tuple[list[str], set[type]]:
     """The values as `_fmt_cell` gives them, with the set of their types."""
     types = set(map(type, values))
@@ -142,27 +139,30 @@ def _cell_column(values: list) -> tuple[list[str], set[type]]:
 
 def _write_table(stream, headers: list, blocks) -> None:
     """Two passes: the widths, then the lines. Between them it keeps the
-    formatted cells of every block."""
-    columns = [[] for _ in headers]
+    formatted cells of every block, and writes them block by block."""
     kinds = [set() for _ in headers]
+    widths = list(map(len, headers))
+    formatted = []
     for block in blocks:
-        for cells, types, values in zip(columns, kinds, block):
+        cells = []
+        for i, values in enumerate(block):
             text, seen = _cell_column(values)
-            cells.extend(text)
-            types |= seen
-    widths = [max(len(header), max(map(len, cells))) for header, cells in zip(headers, columns)]
+            kinds[i] |= seen
+            widths[i] = max(widths[i], max(map(len, text)))
+            cells.append(text)
+        formatted.append(cells)
     # One template pads a whole row: numbers right, text left.
     row = "  ".join(
         f"%{'-' if str in types else ''}{width}s" for types, width in zip(kinds, widths)
     )
     stream.write((row % tuple(headers)).rstrip() + "\n")
     stream.write((row % tuple("-" * width for width in widths)).rstrip() + "\n")
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        cells = [column[start:start + _BLOCK_ROWS] for column in columns]
-        lines = map(row.__mod__, zip(*cells))
-        if kinds[-1] != {float}:  # a line that ends in a number has no trailing spaces
-            lines = map(str.rstrip, lines)
-        stream.write("\n".join(lines) + "\n")
+    for cells in formatted:
+        if kinds[-1] == {float}:  # a line that ends in a number has no trailing spaces
+            lines = "\n".join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+        else:
+            lines = "\n".join(map(str.rstrip, map(row.__mod__, zip(*cells))))
+        stream.write(lines + "\n")
 
 
 def _write_csv(stream, headers: list, blocks) -> None:
@@ -322,18 +322,21 @@ def _cmd_validate(args: argparse.Namespace) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    handler = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "list": _cmd_list,
-        "validate": _cmd_validate,
-    }[args.command]
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after --help, or a usage error
+            sys.stdout.flush()
+            return int(exc.code or 0)
+        handler = {
+            "run": _cmd_run,
+            "sweep": _cmd_sweep,
+            "list": _cmd_list,
+            "validate": _cmd_validate,
+        }[args.command]
         handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
     except ValidationError as exc:
         for message in exc.messages:
             print(f"error: {message}", file=sys.stderr)
@@ -342,6 +345,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and getattr(args, "out", None) is None:
+            # The reader ended standard output (--out sends nothing there). As the
+            # signal module's "Note on SIGPIPE" shows, point it at os.devnull, so
+            # that shutdown drops what is still buffered instead of reporting it.
+            with contextlib.suppress(AttributeError, OSError):  # a stream without a descriptor
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            return 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything unexpected is a runtime error, code 2

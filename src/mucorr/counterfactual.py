@@ -18,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, NotOrthogonalError
-from .spin import Direction, correlation, match_probability, dot
+from .spin import Direction, correlation, match_probability
 
 ORTHOGONALITY_TOL = 1e-12
 #: Two CI correlations are "different" if they differ by more than this.
@@ -66,9 +66,9 @@ def info_leakage(p: float) -> float:
 
 
 def _require_orthogonal(a: Direction, a_prime: Direction) -> None:
-    if abs(dot(a, a_prime)) > ORTHOGONALITY_TOL:
+    if abs(correlation(a, a_prime)) > ORTHOGONALITY_TOL:
         raise NotOrthogonalError(
-            f"directions must be orthogonal, got dot = {dot(a, a_prime)!r}"
+            f"directions must be orthogonal, got dot = {correlation(a, a_prime)!r}"
         )
 
 

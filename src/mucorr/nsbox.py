@@ -114,10 +114,10 @@ def make_isotropic(p: float) -> NsBox:
     return NsBox(_nest([hit if win else miss for win in _WIN]))
 
 
-def isotropic_sweep(p) -> tuple[list[float], list[float], list[float]]:
-    """chsh_s_ns, chsh_s_e and rho_min_ns(., 0) of make_isotropic(q) for every
-    q of a sequence p in [0, 1], bit for bit, as three lists."""
-    s_ns, s_e, rho_min = [], [], []
+def isotropic_sweep(p) -> tuple[list[float], list[float], list[float], list[float]]:
+    """chsh_s_ns, chsh_s_e and rho_min_ns(., 0) of make_isotropic(q), and rho_ci_ns(q),
+    for every q of a sequence p in [0, 1], bit for bit, as four lists."""
+    s_ns, s_e, rho_min, rho_ci = [], [], [], []
     for q in p:
         if not 0.0 <= q <= 1.0:
             raise DomainError("isotropic parameters must lie in [0, 1]")
@@ -130,7 +130,8 @@ def isotropic_sweep(p) -> tuple[list[float], list[float], list[float]]:
         s_e.append(abs(e + e + e - (lose - win)))
         floor = 2.0 * (win + win) - 3.0
         rho_min.append(floor if floor > -1.0 else -1.0)
-    return s_ns, s_e, rho_min
+        rho_ci.append((2.0 * q - 1.0) ** 2)
+    return s_ns, s_e, rho_min, rho_ci
 
 
 def from_correlators(e00: float, e01: float, e10: float, e11: float) -> NsBox:

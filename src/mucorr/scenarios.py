@@ -36,7 +36,6 @@ from .spin import (
     chsh_s,
     classify_chsh,
     correlation,
-    dot,
 )
 
 REMOTE_OPTION_NAMES = ("none", "b", "b_prime")
@@ -209,7 +208,7 @@ def _validate_chsh(params: dict, problems: list[str]):
         except NotOrthogonalError:
             problems.append(
                 "parameters.a_degrees and parameters.a_prime_degrees must be "
-                f"orthogonal directions, got dot product {dot(a, a_prime)!r}"
+                f"orthogonal directions, got dot product {correlation(a, a_prime)!r}"
             )
     options = params.get("remote_options")
     if options is None:
@@ -381,25 +380,27 @@ def _checked(scenario: Scenario) -> tuple[list[str], list | tuple | None]:
     problems: list[str] = []
     if not scenario.scenario_id or not isinstance(scenario.scenario_id, str):
         problems.append("id must be a non-empty string")
-    if scenario.kind not in KINDS:
+    known = scenario.kind in KINDS
+    if not known:
         problems.append(f"kind must be one of {KINDS}, got {scenario.kind!r}")
-        return problems, None
-    if scenario.kind == "sweep" and scenario.mc is not None:
+    elif scenario.kind == "sweep" and scenario.mc is not None:
         problems.append(
             "sweeps are analytic only: Monte Carlo (an mc block, --mc, --samples "
             "or --seed) does not apply"
         )
     if not isinstance(scenario.parameters, dict):
-        problems.append("parameters must be a mapping")
-        return problems, None
-    validate, _ = _KINDS[scenario.kind]
-    return problems, validate(scenario.parameters, problems)
+        problems.append("parameters must be an object")
+    elif known:
+        validate, _ = _KINDS[scenario.kind]
+        return problems, validate(scenario.parameters, problems)
+    return problems, None
 
 
 def load_scenario_file(path: str) -> Scenario:
     """Parse and validate a scenario definition file (JSON).
 
-    Raises ValidationError carrying one message per problem.
+    Raises ValidationError carrying one message per problem: the file's own
+    (JSON, top-level keys, `mc`, `notes`) first, then `validate_scenario`'s.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -421,14 +422,6 @@ def load_scenario_file(path: str) -> Scenario:
     for key in data:
         if key not in allowed:
             problems.append(f"unknown top-level key {key!r}")
-    scenario_id = data.get("id")
-    if not isinstance(scenario_id, str) or not scenario_id:
-        problems.append("id must be a non-empty string")
-        scenario_id = "<invalid>"
-    parameters = data.get("parameters", {})
-    if not isinstance(parameters, dict):
-        problems.append("parameters must be an object")
-        parameters = {}
     sample_config = None
     mc_data = data.get("mc")
     if mc_data is not None:
@@ -450,9 +443,9 @@ def load_scenario_file(path: str) -> Scenario:
         problems.append("notes must be a list of strings")
         notes = []
     scenario = Scenario(
-        scenario_id=scenario_id,
+        scenario_id=data.get("id"),
         kind=data.get("kind"),
-        parameters=parameters,
+        parameters=data.get("parameters", {}),
         mc=sample_config,
         notes=tuple(notes),
     )
@@ -736,6 +729,5 @@ def _sweep_blocks(
             columns = [grid, rho_ci, [info_leakage(0.5 * (1.0 + r)) for r in rho_ci]]
         else:
             p = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in grid]
-            # rho_ci_ns(q) without its domain check, which the clip makes moot.
-            columns = [p, *nsb.isotropic_sweep(p), [(2.0 * q - 1.0) ** 2 for q in p]]
+            columns = [p, *nsb.isotropic_sweep(p)]
         yield [[sid] * len(grid), *columns]

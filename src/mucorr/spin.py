@@ -67,18 +67,11 @@ class SettingsQuad(NamedTuple):
     b_prime: Direction
 
 
-def dot(d1: Direction, d2: Direction) -> float:
-    """Dot product of two coplanar unit vectors: cos of the angle between."""
-    return math.cos(d1.angle - d2.angle)
-
-
 def correlation(alpha: Direction, beta: Direction) -> float:
-    """Two-party correlation E(alpha, beta) for a shared pair.
-
-    Equal to the dot product under the outcome-relabeling convention that
-    makes parallel settings correlate perfectly (+1).
-    """
-    return dot(alpha, beta)
+    """Two-party correlation E(alpha, beta) for a shared pair: the dot product
+    of the two coplanar unit vectors, cos of the angle between. That is the
+    correlation under the convention that parallel settings correlate +1."""
+    return math.cos(alpha.angle - beta.angle)
 
 
 def match_probability(alpha: Direction, beta: Direction) -> float:

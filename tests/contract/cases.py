@@ -310,6 +310,7 @@ CLOSED_STDOUT = [
          closed_stdout=True),
     Case("closed-stdout/list", ("list",), closed_stdout=True),
     Case("closed-stdout/validate", ("validate", "paper-coin"), closed_stdout=True),
+    Case("closed-stdout/help", ("run", "--help"), closed_stdout=True),
     Case("closed-stdout/with-out", ("run", "paper-coin", "--out", "out"), closed_stdout=True),
     Case("closed-stdout/bad-document", ("validate", "doc.json"), BAD_DOC, closed_stdout=True),
 ]

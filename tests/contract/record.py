@@ -22,6 +22,8 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+from mucorr.cli import main
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 EXPECTED = HERE / "expected.json"
@@ -59,8 +61,6 @@ def workdir():
 
 def run_case(case, directory: Path) -> dict:
     """The result of one case, run through `cli.main` in `directory`."""
-    from mucorr.cli import main
-
     for name, content in case.files:
         mode = "wb" if isinstance(content, bytes) else "w"
         with open(directory / name, mode) as handle:

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -131,11 +132,10 @@ def column_blocks(draw, size: int) -> tuple[list, list]:
 
 class TestRenderers:
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), size=st.sampled_from([1, 2, 3, cli._BLOCK_ROWS]))
+    @given(data=st.data(), size=st.sampled_from([1, 2, 3, 4096]))
     def test_renderers_equal_the_per_cell_references(self, data, size):
-        with mock.patch.object(cli, "_BLOCK_ROWS", size):
-            headers, blocks = data.draw(column_blocks(size))
-            assert_references(headers, blocks)
+        headers, blocks = data.draw(column_blocks(size))
+        assert_references(headers, blocks)
 
     def test_edge_records(self):
         for headers, blocks in (
@@ -558,6 +558,15 @@ class TestExitCodes:
                 assert (code, out) == (1, ""), (kind, command)
                 assert err == f"error: kind must be one of {KINDS}, got {kind!r}\n"
 
+    def test_parameters_not_an_object_is_one_problem(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        for parameters in ([], None):
+            path.write_text(json.dumps({"id": "x", "kind": "chsh", "parameters": parameters}))
+            for command in ("run", "validate"):
+                code, out, err = run_cli(capsys, command, str(path))
+                assert (code, out) == (1, ""), (parameters, command)
+                assert err == "error: parameters must be an object\n"
+
     def test_failed_run_writes_no_file(self, capsys, tmp_path):
         # One sample has a constant outcome: the run fails before --out opens.
         target = tmp_path / "rows.out"
@@ -602,6 +611,51 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error:" in err
+
+
+THETA_SWEEP_CSV = ["sweep", "--parameter", "theta_degrees", "--start", "0",
+                   "--stop", "9999", "--step", "1", "--format", "csv"]
+
+
+class TestClosedStdout:
+    """A reader that stops early, as `head` does, ends the output: mucorr
+    then exits 0 and prints nothing more, buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv, lines", [
+        (THETA_SWEEP_CSV, 1),  # 10,001 rows: the reader goes mid-output
+        (["run", "paper-pr-box", "--samples", "1", "--format", "csv"], 0),
+        (["validate", "paper-coin"], 0),
+        (["--help"], 0),
+    ])
+    def test_quiet_exit(self, argv, lines, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mucorr", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (0, b"")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_closed_out_pipe_is_runtime_error(self, tmp_path):
+        # Only standard output ends quietly: --out names what mucorr must write.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(
+            [sys.executable, "-c", "import sys; open(sys.argv[1], 'rb').read(10)", str(fifo)]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "mucorr", *THETA_SWEEP_CSV, "--out", str(fifo)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert reader.wait(timeout=60) == 0
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 class TestModuleEntryPoint:

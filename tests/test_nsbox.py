@@ -263,12 +263,15 @@ class TestFloatCoreEqualsTheArrayCore:
         s_ns = abs(win[0, 0] + win[0, 1] + win[1, 0] + win[1, 1])
         s_e = abs(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1])
         rho_min = np.fmax(-1.0, 2.0 * (win[0, 0] + win[1, 0]) - 3.0)
-        reference = [column.tolist() for column in (s_ns, s_e, rho_min)]
+        rho_ci = (2.0 * p - 1.0) ** 2
+        reference = [column.tolist() for column in (s_ns, s_e, rho_min, rho_ci)]
         assert bits(list(isotropic_sweep(ps))) == bits(reference)
         assert bits(list(isotropic_sweep(p))) == bits(reference)
         for q, *values in zip(ps, *isotropic_sweep(ps)):
             box = make_isotropic(q)
-            assert bits(values) == bits([chsh_s_ns(box), chsh_s_e(box), rho_min_ns(box, 0)])
+            assert bits(values) == bits(
+                [chsh_s_ns(box), chsh_s_e(box), rho_min_ns(box, 0), rho_ci_ns(q)]
+            )
             assert table_of(box).tobytes() == np.where(_REF_WIN, q / 2.0, (1.0 - q) / 2.0).tobytes()
 
 

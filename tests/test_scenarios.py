@@ -363,6 +363,17 @@ class TestValidation:
         problems = validate_scenario(self.mk("mystery", {}))
         assert any("kind" in p for p in problems)
 
+    def test_parameters_not_an_object_is_one_problem(self):
+        # The kind's checks would only report every parameter missing.
+        for parameters in (None, [], "coin"):
+            for kind in KINDS:
+                problems = validate_scenario(self.mk(kind, parameters))
+                assert problems == ["parameters must be an object"], (kind, parameters)
+        # A bad kind and bad parameters are two faults, reported side by side.
+        assert validate_scenario(self.mk("mystery", [])) == [
+            f"kind must be one of {KINDS}, got 'mystery'", "parameters must be an object",
+        ]
+
     def test_chsh_missing_angles_all_reported(self):
         problems = validate_scenario(self.mk("chsh", {}))
         joined = "\n".join(problems)
@@ -829,7 +840,7 @@ class TestRecords:
         first.parameters["a_degrees"] = 0.0
         assert second.parameters == {}
         assert first._replace(scenario_id="c").parameters is first.parameters
-        assert "parameters must be a mapping" in validate_scenario(Scenario("d", "chsh", None))
+        assert "parameters must be an object" in validate_scenario(Scenario("d", "chsh", None))
         assert repr(Scenario("e", "sweep")) == (
             "Scenario(scenario_id='e', kind='sweep', parameters={}, mc=None, notes=())"
         )

@@ -13,7 +13,6 @@ from mucorr.spin import (
     chsh_s,
     classify_chsh,
     correlation,
-    dot,
     match_probability,
 )
 
@@ -45,7 +44,7 @@ class TestDirection:
 
     def test_rotated_quarter_turn_is_orthogonal(self):
         d = Direction.from_degrees(30.0)
-        assert abs(dot(d, d.rotated(math.pi / 2.0))) < 1e-15
+        assert abs(correlation(d, d.rotated(math.pi / 2.0))) < 1e-15
 
     @given(angles_deg)
     def test_degrees_round_trip(self, deg):
