@@ -158,11 +158,10 @@ def _write_table(stream, headers: list, blocks) -> None:
     stream.write((row % tuple(headers)).rstrip() + "\n")
     stream.write((row % tuple("-" * width for width in widths)).rstrip() + "\n")
     for cells in formatted:
-        if kinds[-1] == {float}:  # a line that ends in a number has no trailing spaces
-            lines = "\n".join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
-        else:
-            lines = "\n".join(map(str.rstrip, map(row.__mod__, zip(*cells))))
-        stream.write(lines + "\n")
+        lines = map(row.__mod__, zip(*cells))
+        if kinds[-1] != {float}:  # a line that ends in a number has no trailing spaces
+            lines = map(str.rstrip, lines)
+        stream.write("\n".join(lines) + "\n")
 
 
 def _write_csv(stream, headers: list, blocks) -> None:

@@ -558,15 +558,6 @@ class TestExitCodes:
                 assert (code, out) == (1, ""), (kind, command)
                 assert err == f"error: kind must be one of {KINDS}, got {kind!r}\n"
 
-    def test_parameters_not_an_object_is_one_problem(self, capsys, tmp_path):
-        path = tmp_path / "bad.json"
-        for parameters in ([], None):
-            path.write_text(json.dumps({"id": "x", "kind": "chsh", "parameters": parameters}))
-            for command in ("run", "validate"):
-                code, out, err = run_cli(capsys, command, str(path))
-                assert (code, out) == (1, ""), (parameters, command)
-                assert err == "error: parameters must be an object\n"
-
     def test_failed_run_writes_no_file(self, capsys, tmp_path):
         # One sample has a constant outcome: the run fails before --out opens.
         target = tmp_path / "rows.out"
