@@ -73,7 +73,7 @@ from .spin import (
     match_probability,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 # Every public name imported above, and nothing else.
 __all__ = sorted(

@@ -338,14 +338,18 @@ def from_labeled_dict(entries: dict[str, float]) -> NsBox:
     """Parse the flat wire format back into a box.
 
     Requires exactly the 16 keys "P(A,B|a,b)" with binary indices;
-    reports every missing, unknown, non-numeric, or non-finite entry.
+    reports every missing, unknown, non-numeric, or non-finite entry. One
+    unknown key in place of one missing key is one fault, a mistyped key.
     """
     table = [0.0] * 16
     problems: list[str] = []
+    missing = [key for key in _TABLE_KEYS if key not in entries]
+    unknown = [key for key in entries if key not in _KEY_INDEX]
+    typo = f" (expected {missing[0]})" if len(unknown) == len(missing) == 1 else ""
     for key, value in entries.items():
         cell = _KEY_INDEX.get(key)
         if cell is None:
-            problems.append(f"unrecognized box entry key {key!r}")
+            problems.append(f"unrecognized box entry key {key!r}{typo}")
             continue
         number = _finite_float(value)
         if number is None:
@@ -354,9 +358,8 @@ def from_labeled_dict(entries: dict[str, float]) -> NsBox:
             )
             continue
         table[cell] = number
-    problems.extend(
-        f"missing box entry {key}" for key in _TABLE_KEYS if key not in entries
-    )
+    if not typo:
+        problems.extend(f"missing box entry {key}" for key in missing)
     if problems:
         raise ValidationError(problems)
     return NsBox(_nest(table))

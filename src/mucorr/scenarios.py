@@ -191,9 +191,11 @@ def _check_extra_keys(params: dict, allowed: set[str], problems: list[str]) -> N
             problems.append(f"parameters.{shown} is not a recognized parameter")
 
 
-def _check_angles(params: dict, keys: tuple[str, ...], problems: list[str]):
-    """The required angles in degrees, and as Directions (None where not valid)."""
-    degrees = [_check_number(params, key, problems) for key in keys]
+def _check_angles(params: dict, keys: tuple[str, ...], problems: list[str], defaults=None):
+    """The angles in degrees, and as Directions (None where not valid). Each
+    is required, unless `defaults` gives it a value."""
+    defaults = defaults or (None,) * len(keys)
+    degrees = [_check_number(params, key, problems, d) for key, d in zip(keys, defaults)]
     return degrees, [None if d is None else Direction.from_degrees(d) for d in degrees]
 
 
@@ -263,12 +265,9 @@ def _validate_nsbox(params: dict, problems: list[str]):
                 "[E00, E01, E10, E11]"
             )
             return None
-        values = [_finite_float(e) for e in cs]
-        bad = [i for i, e in enumerate(values) if e is None or not -1.0 <= e <= 1.0]
-        problems.extend(
-            f"parameters.correlators[{i}] must lie in [-1, 1], got {cs[i]!r}" for i in bad
-        )
-        return None if bad else (nsb.from_correlators(*values),)
+        named = {f"correlators[{i}]": e for i, e in enumerate(cs)}
+        values = [_check_number(named, key, problems, low=-1.0, high=1.0) for key in named]
+        return None if None in values else (nsb.from_correlators(*values),)
     if not isinstance(params["box"], dict):
         problems.append(
             'parameters.box must be an object of 16 entries keyed "P(A,B|a,b)"'
@@ -358,10 +357,9 @@ def _validate_sweep(params: dict, problems: list[str]):
                 )
     a = a_prime = None
     if theta:
-        a = _check_number(params, "a_degrees", problems, default=0.0)
-        a_prime = _check_number(params, "a_prime_degrees", problems, default=90.0)
-        if a is not None and a_prime is not None:
-            a, a_prime = Direction.from_degrees(a), Direction.from_degrees(a_prime)
+        a, a_prime = _check_angles(
+            params, ("a_degrees", "a_prime_degrees"), problems, defaults=(0.0, 90.0)
+        )[1]
     elif "a_degrees" in params or "a_prime_degrees" in params:
         problems.append(
             "parameters.a_degrees/a_prime_degrees apply only to theta_degrees sweeps"

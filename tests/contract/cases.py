@@ -111,6 +111,24 @@ VALID_DOCUMENTS = {
     "id-with-comma": doc({"id": 'a,"b"', "kind": "classical", "parameters": COIN}),
 }
 
+#: Documents run once, as CSV with seeded Monte Carlo. With the built-ins'
+#: `mc` cases they pin the substream each kind draws from: a chsh or box
+#: pair from streams 0-3, a chsh option's rho_ci from 4 plus the option's
+#: position in `remote_options`, and a counterfactual or classical row from
+#: stream 0. The PR box draws only its winning cells, so its rows are exact;
+#: every other estimate carries sampling noise.
+MC_DOCUMENTS = {
+    "correlator-box": doc({"id": "correlator-box", "kind": "nsbox",
+                           "parameters": {"correlators": [0.3, -0.2, 0.7, -0.5]}}),
+    "counterfactual": doc({"id": "counterfactual", "kind": "counterfactual", "parameters": {
+        "theta_degrees": 30, "a_degrees": 0, "a_prime_degrees": 90}}),
+    # b' listed first: its rho_ci estimate draws from stream 4, the first
+    # option's, and the remote-free option second draws nothing.
+    "chsh-options": doc({"id": "chsh-options", "kind": "chsh", "parameters": {
+        "a_degrees": 0, "a_prime_degrees": 90, "b_degrees": 45, "b_prime_degrees": 135,
+        "remote_options": ["b_prime", "none"]}}),
+}
+
 #: Documents with one fault or more, each named by the field it breaks.
 MALFORMED_DOCUMENTS = {
     # File and top level.
@@ -236,6 +254,9 @@ def _cases() -> list[Case]:
             cases.append(Case(f"document/{name}/{fmt}", ("run", "doc.json", "--format", fmt),
                               (("doc.json", text),)))
         cases.append(Case(f"document/{name}/validate", ("validate", "doc.json"),
+                          (("doc.json", text),)))
+    for name, text in MC_DOCUMENTS.items():
+        cases.append(Case(f"document/{name}/csv/mc", ("run", "doc.json", *MC, "--format", "csv"),
                           (("doc.json", text),)))
     for name, text in MALFORMED_DOCUMENTS.items():
         for command in ("validate", "run"):

@@ -2,11 +2,13 @@
 
     PYTHONPATH=src python tests/contract/record.py
 
-rewrites `expected.json` from the current code. Each case's result is its
-exit code, its standard output and error, and the file it wrote to `--out`,
-if any. A text of up to TEXT_LIMIT bytes is kept as its lines, so that a
-contract change reads as a diff; a longer one, and every `--out` file (the
-same case without `--out` keeps its text), as its size and SHA-256.
+rewrites `expected.json` from the current code, and names each case it
+added, removed or changed against the file it replaced. Each case's result
+is its exit code, its standard output and error, and the file it wrote to
+`--out`, if any. A text of up to TEXT_LIMIT bytes is kept as its lines, so
+that a contract change reads as a diff; a longer one, and every `--out`
+file (the same case without `--out` keeps its text), as its size and
+SHA-256.
 """
 from __future__ import annotations
 
@@ -88,11 +90,21 @@ def run_all(cases) -> dict:
         return {case.name: run_case(case, directory) for case in cases}
 
 
+def moved(before: dict, after: dict) -> list[str]:
+    """One line per case added, removed or changed from `before` to `after`."""
+    return (
+        [f"added {name}" for name in after if name not in before]
+        + [f"removed {name}" for name in before if name not in after]
+        + [f"changed {name}" for name in after if name in before and after[name] != before[name]]
+    )
+
+
 def record() -> None:
     from cases import CASES
 
     names = [case.name for case in CASES]
     assert len(set(names)) == len(names), "case names must be unique"
+    before = json.loads(EXPECTED.read_text(encoding="utf-8"))["cases"] if EXPECTED.exists() else {}
     expected = {
         "python": "%d.%d" % sys.version_info[:2],
         "cases": run_all(CASES),
@@ -101,6 +113,8 @@ def record() -> None:
         json.dump(expected, handle, indent=1, ensure_ascii=False)
         handle.write("\n")
     print(f"recorded {len(names)} cases in {EXPECTED.relative_to(ROOT)}")
+    for line in moved(before, expected["cases"]):
+        print(line)
 
 
 if __name__ == "__main__":

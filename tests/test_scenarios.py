@@ -349,13 +349,55 @@ class TestNsboxKind:
             table[key] = table["P(0,0|0,0)"]
             scenario = Scenario(scenario_id="bad-box", kind="nsbox", parameters={"box": table})
             assert validate_scenario(scenario) == [unknown]
+            # In place of the real key it is one fault, a mistyped key.
             del table["P(0,0|0,0)"]
-            assert validate_scenario(scenario) == [
-                unknown, "parameters.box: missing box entry P(0,0|0,0)",
-            ]
+            assert validate_scenario(scenario) == [f"{unknown} (expected P(0,0|0,0))"]
+        # With two, which stray key stands for which missing key is not known.
+        table = to_labeled_dict(nsb.make_isotropic(1.0))
+        table["P(0,0|0,0) "] = table.pop("P(0,0|0,0)")
+        table["P(1,1|1,1) "] = table.pop("P(1,1|1,1)")
+        scenario = Scenario(scenario_id="bad-box", kind="nsbox", parameters={"box": table})
+        assert validate_scenario(scenario) == [
+            "parameters.box: unrecognized box entry key 'P(0,0|0,0) '",
+            "parameters.box: unrecognized box entry key 'P(1,1|1,1) '",
+            "parameters.box: missing box entry P(0,0|0,0)",
+            "parameters.box: missing box entry P(1,1|1,1)",
+        ]
+
+
+#: A valid document of each kind that has numbers, and the place of each
+#: number in its parameters: a key, or a key and a list index.
+NUMERIC_PARAMETERS = [
+    *(("chsh", {"a_degrees": 0, "a_prime_degrees": 90, "b_degrees": 45,
+                "b_prime_degrees": 135}, (key,))
+      for key in ("a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees")),
+    *(("counterfactual", {"theta_degrees": 45, "a_degrees": 0, "a_prime_degrees": 90}, (key,))
+      for key in ("theta_degrees", "a_degrees", "a_prime_degrees")),
+    ("nsbox", {"isotropic_p": 0.5}, ("isotropic_p",)),
+    *(("nsbox", {"correlators": [0.3, -0.2, 0.7, -0.5]}, ("correlators", i)) for i in range(4)),
+    *(("classical", {"variant": "shapes", "red_given_cube": 0.9, "blue_given_sphere": 0.6},
+       (key,)) for key in ("red_given_cube", "blue_given_sphere")),
+    *(("sweep", {"parameter": "theta_degrees", "start": 0, "stop": 90, "step": 45,
+                 "a_degrees": 0, "a_prime_degrees": 90}, (key,))
+      for key in ("start", "stop", "step", "a_degrees", "a_prime_degrees")),
+]
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "kind, parameters, place", NUMERIC_PARAMETERS,
+        ids=["-".join(map(str, (kind, *place))) for kind, _, place in NUMERIC_PARAMETERS],
+    )
+    def test_every_number_must_be_finite(self, kind, parameters, place):
+        name = place[0] + "".join(f"[{i}]" for i in place[1:])
+        assert validate_scenario(self.mk(kind, parameters)) == []
+        for value in ("x", math.nan, math.inf, True):
+            changed = json.loads(json.dumps(parameters))
+            (changed[place[0]] if len(place) == 2 else changed)[place[-1]] = value
+            assert validate_scenario(self.mk(kind, changed)) == [
+                f"parameters.{name} must be a finite number, got {value!r}"
+            ]
+
     def mk(self, kind: str, parameters: dict) -> Scenario:
         return Scenario(scenario_id="x", kind=kind, parameters=parameters)
 
