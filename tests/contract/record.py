@@ -19,6 +19,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -83,6 +84,22 @@ def run_case(case, directory: Path) -> dict:
     for name, _ in case.files:
         (directory / name).unlink()
     return result
+
+
+def run_fresh(case) -> dict:
+    """The exit code, standard output and error of one case, run in a fresh
+    `python -m mucorr` process, so that no state left by earlier cases can
+    hide a change to the sampler, to how a table reaches it, or to Python's
+    MT19937 stream."""
+    with workdir() as directory:
+        for name, text in case.files:
+            (directory / name).write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mucorr", *case.argv],
+            capture_output=True, cwd=directory, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+    return {"exit": proc.returncode, "stdout": kept(proc.stdout), "stderr": kept(proc.stderr)}
 
 
 def run_all(cases) -> dict:

@@ -10,32 +10,26 @@ one that recorded the file, those cases keep their exit code and which
 streams are empty; every other case is compared whole on every version.
 """
 import json
-import os
-import subprocess
 import sys
 
 import pytest
 
 from contract.cases import CASES
-from contract.record import EXPECTED, ROOT, kept, moved, run_all, workdir
+from contract.record import EXPECTED, moved, run_all, run_fresh
 
 RECORDED = json.loads(EXPECTED.read_text(encoding="utf-8"))
 
 #: Seeded Monte Carlo cases that also run in a fresh `python -m mucorr`
-#: process, so that no state left by earlier cases can hide a change to the
-#: sampler, to how a table reaches it, or to Python's MT19937 stream. The
-#: full-precision JSON pins every bit of every estimate, chsh_s's sum of
-#: four included.
+#: process. Those of `paper-standard`, CSV and full-precision JSON, run the
+#: same way in `test_golden.py`.
 FRESH_PROCESS = (
     "run/paper-pr-box/csv/mc",
     "run/scenarios/pr-box-table.json/csv/mc",
-    "run/paper-standard/csv/mc",
     "document/correlator-box/csv/mc",
     "run/paper-coin/csv/mc",
     "run/paper-shapes/csv/mc",
     "document/counterfactual/csv/mc",
     "document/chsh-options/csv/mc",
-    "run/paper-standard/json/mc",
 )
 
 
@@ -56,16 +50,7 @@ def test_every_case_prints_what_was_recorded():
 @pytest.mark.parametrize("name", FRESH_PROCESS)
 def test_seeded_run_in_a_fresh_process_prints_what_was_recorded(name):
     case = next(case for case in CASES if case.name == name)
-    with workdir() as directory:
-        for path, text in case.files:
-            (directory / path).write_text(text)
-        proc = subprocess.run(
-            [sys.executable, "-m", "mucorr", *case.argv],
-            capture_output=True, cwd=directory, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        )
-    result = {"exit": proc.returncode, "stdout": kept(proc.stdout), "stderr": kept(proc.stderr)}
-    assert result == RECORDED["cases"][name]
+    assert run_fresh(case) == RECORDED["cases"][name]
 
 
 def test_recording_names_each_moved_case():
