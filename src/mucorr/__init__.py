@@ -38,6 +38,7 @@ from .nsbox import (
     BoxClass,
     BoxClassification,
     NsBox,
+    chsh_class,
     chsh_e_form,
     chsh_s_e,
     chsh_s_ns,
@@ -64,16 +65,12 @@ from .scenarios import (
 from .spin import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
-    ChshClass,
     Direction,
-    SettingsQuad,
-    chsh_s,
-    classify_chsh,
     correlation,
     match_probability,
 )
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 # Every public name imported above, and nothing else.
 __all__ = sorted(

@@ -183,9 +183,9 @@ def estimate_correlation(counts: tuple[int, int, int, int]) -> EmpiricalEstimate
     root = math.sqrt(r0 * r1 * c0 * c1)
     phi = (n00 * n11 - n01 * n10) / root
     n_var = (
-        1.0 - phi ** 2
+        1.0 - phi * phi
         + (phi + phi ** 3 / 2.0) * (r0 - r1) * (c0 - c1) / root
-        - 0.75 * phi ** 2 * ((r0 - r1) ** 2 / (r0 * r1) + (c0 - c1) ** 2 / (c0 * c1))
+        - 0.75 * (phi * phi) * ((r0 - r1) ** 2 / (r0 * r1) + (c0 - c1) ** 2 / (c0 * c1))
     )
     # Rounding can take a zero variance (|phi| = 1) a hair below 0.
     return EmpiricalEstimate(phi, math.sqrt(max(n_var, 0.0) / n), n)
@@ -208,7 +208,7 @@ def shapes_rho(red_given_cube: float = 0.75, blue_given_sphere: float = 0.75) ->
     """Analytic shape/color correlation for :func:`estimate_shapes_correlation`."""
     cov = red_given_cube + blue_given_sphere - 1.0
     mean_color = red_given_cube - blue_given_sphere
-    sd_color = math.sqrt(1.0 - mean_color ** 2)
+    sd_color = math.sqrt(1.0 - mean_color * mean_color)
     if sd_color == 0.0:
         raise DomainError("color is deterministic, correlation undefined")
     return cov / sd_color

@@ -130,7 +130,8 @@ def isotropic_sweep(p) -> tuple[list[float], list[float], list[float], list[floa
         s_e.append(abs(e + e + e - (lose - win)))
         floor = 2.0 * (win + win) - 3.0
         rho_min.append(floor if floor > -1.0 else -1.0)
-        rho_ci.append((2.0 * q - 1.0) ** 2)
+        bias = 2.0 * q - 1.0
+        rho_ci.append(bias * bias)
     return s_ns, s_e, rho_min, rho_ci
 
 
@@ -259,7 +260,8 @@ def rho_ci_ns(p: float) -> float:
     isotropic box: (2p - 1)^2. Zero only at p = 0.5."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"isotropic parameter must lie in [0, 1], got {p!r}")
-    return (2.0 * p - 1.0) ** 2
+    bias = 2.0 * p - 1.0
+    return bias * bias
 
 
 def ci_product(box: NsBox, b_setting: int) -> float:
@@ -288,7 +290,8 @@ def isotropic_parameter(box: NsBox) -> float | None:
 
 
 class BoxClass(enum.Enum):
-    """Correlation regime of a box, by its correlator-form CHSH value."""
+    """Correlation regime of a CHSH value, and of a box by its
+    correlator-form CHSH value."""
 
     INDEPENDENT = "independent"
     LOCAL_CORRELATED = "local_correlated"
@@ -306,22 +309,28 @@ class BoxClassification(NamedTuple):
     ci_rho_positive: bool
 
 
+def chsh_class(s: float) -> BoxClass:
+    """Regime of a CHSH value S >= 0, spin quad or box: against the bounds
+    2 and 2*sqrt(2), exact on the computed double, boundaries belonging to
+    the lower class."""
+    if s <= CLASSICAL_BOUND:
+        return BoxClass.LOCAL_CORRELATED
+    if s <= TSIRELSON_BOUND:
+        return BoxClass.QUANTUM_REGION
+    return BoxClass.SUPER_QUANTUM
+
+
 def classify_box(box: NsBox) -> BoxClassification:
     """Classify a valid box and report its nonlocality signatures.
 
     Independent means all four correlators vanish (within 1e-9);
-    otherwise the correlator-form CHSH value against the bounds 2 and
-    2*sqrt(2) decides, with boundaries belonging to the lower class.
+    otherwise :func:`chsh_class` of the correlator-form CHSH value decides.
     """
     s_e = chsh_s_e(box)
     if all(abs(e) <= CONSTRAINT_TOL for row in box._corr for e in row):
         box_class = BoxClass.INDEPENDENT
-    elif s_e <= CLASSICAL_BOUND:
-        box_class = BoxClass.LOCAL_CORRELATED
-    elif s_e <= TSIRELSON_BOUND:
-        box_class = BoxClass.QUANTUM_REGION
     else:
-        box_class = BoxClass.SUPER_QUANTUM
+        box_class = chsh_class(s_e)
     return BoxClassification(
         box_class=box_class,
         chsh_violated=s_e > CLASSICAL_BOUND,

@@ -29,14 +29,7 @@ from .counterfactual import (
 )
 from .errors import NotOrthogonalError, ValidationError, _finite_float
 from .montecarlo import EmpiricalEstimate, SampleConfig
-from .spin import (
-    CLASSICAL_BOUND,
-    Direction,
-    SettingsQuad,
-    chsh_s,
-    classify_chsh,
-    correlation,
-)
+from .spin import CLASSICAL_BOUND, Direction, correlation
 
 REMOTE_OPTION_NAMES = ("none", "b", "b_prime")
 SWEEP_PARAMETERS = ("theta_degrees", "isotropic_p")
@@ -49,6 +42,13 @@ _SWEEP_BLOCK = 4096
 # come first, remote options follow in listed order.
 _PAIR_STREAMS = (0, 1, 2, 3)
 _OPTION_STREAM_BASE = 4
+
+#: The chsh kind's label of each regime that `nsbox.chsh_class` returns.
+_SPIN_CLASS_LABELS = {
+    nsb.BoxClass.LOCAL_CORRELATED: "local_compatible",
+    nsb.BoxClass.QUANTUM_REGION: "quantum_violating",
+    nsb.BoxClass.SUPER_QUANTUM: "super_quantum",
+}
 
 
 class _ScenarioFields(NamedTuple):
@@ -476,9 +476,20 @@ def _signed_sum(signs, estimates: list) -> EmpiricalEstimate | None:
         return None
     return EmpiricalEstimate(
         abs(math.fsum(sign * est.value for sign, est in zip(signs, estimates))),
-        math.sqrt(math.fsum(est.std_error ** 2 for est in estimates)),
+        math.sqrt(math.fsum(est.std_error * est.std_error for est in estimates)),
         estimates[0].n_samples,
     )
+
+
+def _chsh_row(
+    sid: str, s_value: float, est: EmpiricalEstimate | None, label: str,
+    annotation: str | None = None,
+) -> ResultRow:
+    """The chsh_s row, flagged with its class label, chsh_violated above the
+    classical bound, and the annotation if there is one."""
+    violated = "chsh_violated" if s_value > CLASSICAL_BOUND else ""
+    flags = ";".join(filter(None, (f"class={label}", violated, annotation)))
+    return _row(sid, "chsh_s", s_value, est, flags)
 
 
 def _report_rows(
@@ -510,7 +521,6 @@ def _run_chsh(
 ) -> list[ResultRow]:
     a_deg, ap_deg, b_deg, bp_deg = degrees
     a, a_prime, b, b_prime = directions
-    quad = SettingsQuad(a, a_prime, b, b_prime)
 
     pairs = [
         (f"E(a={_fmt_angle(a_deg)},b={_fmt_angle(b_deg)})", a, b, 1.0),
@@ -524,19 +534,17 @@ def _run_chsh(
             mc.estimate_pair_correlation(alpha, beta, cfg, stream)
             for stream, (_, alpha, beta, _) in zip(_PAIR_STREAMS, pairs)
         ]
+    correlators = [correlation(alpha, beta) for _, alpha, beta, _ in pairs]
     rows = [
-        _row(sid, name, correlation(alpha, beta), est)
-        for (name, alpha, beta, _), est in zip(pairs, pair_estimates)
+        _row(sid, name, e, est)
+        for (name, *_), e, est in zip(pairs, correlators, pair_estimates)
     ]
 
-    s_value = chsh_s(quad)
-    s_flags = [f"class={classify_chsh(s_value).value}"]
-    if s_value > CLASSICAL_BOUND:
-        s_flags.append("chsh_violated")
-    if annotation:
-        s_flags.append(annotation)
+    e_ab, e_abp, e_apb, e_apbp = correlators
+    s_value = abs(e_ab - e_abp + e_apb + e_apbp)
     s_est = _signed_sum([sign for (_, _, _, sign) in pairs], pair_estimates)
-    rows.append(_row(sid, "chsh_s", s_value, s_est, ";".join(s_flags)))
+    label = _SPIN_CLASS_LABELS[nsb.chsh_class(s_value)]
+    rows.append(_chsh_row(sid, s_value, s_est, label, annotation))
 
     option_dirs: list[Direction | None] = [
         {"none": None, "b": b, "b_prime": b_prime}[name] for name in option_names
@@ -599,11 +607,8 @@ def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[Resul
     classification = nsb.classify_box(box)
     parity_est = _signed_sum((1.0, 1.0, 1.0, 1.0), rate_ests)
     rows.append(_row(sid, "chsh_s_parity", nsb.chsh_s_ns(box), parity_est))
-    s_flags = [f"class={classification.box_class.value}"]
-    if classification.chsh_violated:
-        s_flags.append("chsh_violated")
     s_est = _signed_sum((1.0, 1.0, 1.0, -1.0), corr_ests)
-    rows.append(_row(sid, "chsh_s", nsb.chsh_s_e(box), s_est, ";".join(s_flags)))
+    rows.append(_chsh_row(sid, nsb.chsh_s_e(box), s_est, classification.box_class.value))
 
     for b_setting in (0, 1):
         value = nsb.rho_min_ns(box, b_setting)

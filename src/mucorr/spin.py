@@ -7,7 +7,6 @@ probability is then (1 + cos d) / 2.
 """
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
@@ -58,15 +57,6 @@ class Direction(_Angle):
         return Direction(self.angle + radians)
 
 
-class SettingsQuad(NamedTuple):
-    """The four apparatus directions of a CHSH arrangement."""
-
-    a: Direction
-    a_prime: Direction
-    b: Direction
-    b_prime: Direction
-
-
 def correlation(alpha: Direction, beta: Direction) -> float:
     """Two-party correlation E(alpha, beta) for a shared pair: the dot product
     of the two coplanar unit vectors, cos of the angle between. That is the
@@ -77,34 +67,3 @@ def correlation(alpha: Direction, beta: Direction) -> float:
 def match_probability(alpha: Direction, beta: Direction) -> float:
     """Probability that outcomes along alpha and beta agree: (1 + E) / 2."""
     return 0.5 * (1.0 + correlation(alpha, beta))
-
-
-def chsh_s(q: SettingsQuad) -> float:
-    """CHSH combination |E(a,b) - E(a,b') + E(a',b) + E(a',b')|."""
-    return abs(
-        correlation(q.a, q.b)
-        - correlation(q.a, q.b_prime)
-        + correlation(q.a_prime, q.b)
-        + correlation(q.a_prime, q.b_prime)
-    )
-
-
-class ChshClass(enum.Enum):
-    """Where a CHSH value falls relative to the classical and quantum bounds."""
-
-    LOCAL_COMPATIBLE = "local_compatible"
-    QUANTUM_VIOLATING = "quantum_violating"
-    SUPER_QUANTUM = "super_quantum"
-
-
-def classify_chsh(s: float) -> ChshClass:
-    """Classify a CHSH value S >= 0 against the bounds 2 and 2*sqrt(2).
-
-    Comparisons are exact on the computed double; boundary values belong
-    to the lower class.
-    """
-    if s <= CLASSICAL_BOUND:
-        return ChshClass.LOCAL_COMPATIBLE
-    if s <= TSIRELSON_BOUND:
-        return ChshClass.QUANTUM_VIOLATING
-    return ChshClass.SUPER_QUANTUM

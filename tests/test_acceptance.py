@@ -15,7 +15,6 @@ from mucorr import (
     TSIRELSON_BOUND,
     binary_entropy,
     chsh_e_form,
-    chsh_s,
     chsh_s_e,
     chsh_s_ns,
     estimate_ci_correlation,
@@ -37,7 +36,7 @@ from mucorr import (
 from mucorr.nsbox import NsBox
 from mucorr.scenarios import builtin_scenarios, run
 
-from references import builtin_quad
+from references import chsh_s_row
 
 A = Direction.from_degrees(0.0)
 A_PRIME = Direction.from_degrees(90.0)
@@ -62,7 +61,7 @@ def report(capsys):
 
 
 def test_criterion_01_standard_settings_reach_quantum_maximum(report):
-    value = chsh_s(builtin_quad("paper-standard"))
+    value = chsh_s_row(builtin_scenarios()["paper-standard"]).analytic
     diff = abs(value - TSIRELSON_BOUND)
     report(1, diff <= 1e-12, f"chsh_s={value!r}, |value - 2*sqrt(2)|={diff:.3g}")
 
@@ -114,10 +113,9 @@ def test_criterion_04_information_leakage_maximum(report):
 
 
 def test_criterion_05_nonviolating_settings_report_derived_value(report):
-    value = chsh_s(builtin_quad("paper-55-35"))
+    row = chsh_s_row(builtin_scenarios()["paper-55-35"])
+    value, flags = row.analytic, row.flags
     diff = abs(value - 1.6597891703110408)
-    rows = run(builtin_scenarios()["paper-55-35"])
-    flags = next(row.flags for row in rows if row.quantity == "chsh_s")
     flagged = "1.442" in flags and "not reproduced" in flags
     ok = value < 2.0 and diff <= 1e-12 and flagged
     report(

@@ -32,13 +32,13 @@ COUNTERFACTUAL = {
 
 #: The public names of the package.
 PUBLIC_NAMES = [
-    "BoxClass", "BoxClassification", "CLASSICAL_BOUND", "ChshClass",
+    "BoxClass", "BoxClassification", "CLASSICAL_BOUND",
     "CounterfactualReport", "DegenerateSequenceError", "Direction",
     "DomainError", "EmpiricalEstimate", "NonlocalityVerdict",
     "NotOrthogonalError", "NsBox", "ResultRow", "SampleConfig", "Scenario",
-    "SettingsQuad", "TSIRELSON_BOUND", "ValidationError", "binary_entropy",
-    "builtin_scenarios", "chsh_e_form", "chsh_s", "chsh_s_e", "chsh_s_ns",
-    "ci_product", "classify_box", "classify_chsh", "correlation", "correlator",
+    "TSIRELSON_BOUND", "ValidationError", "binary_entropy",
+    "builtin_scenarios", "chsh_class", "chsh_e_form", "chsh_s_e", "chsh_s_ns",
+    "ci_product", "classify_box", "correlation", "correlator",
     "estimate_ci_correlation", "estimate_coin_correlation", "estimate_ns_pair",
     "estimate_pair_correlation", "estimate_shapes_correlation",
     "from_correlators", "from_labeled_dict", "info_leakage",

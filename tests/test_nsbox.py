@@ -263,10 +263,8 @@ class TestFloatCoreEqualsTheArrayCore:
         s_ns = abs(win[0, 0] + win[0, 1] + win[1, 0] + win[1, 1])
         s_e = abs(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1])
         rho_min = np.fmax(-1.0, 2.0 * (win[0, 0] + win[1, 0]) - 3.0)
-        # numpy squares by x * x, while a float's ** 2 is libm's pow, which can
-        # differ in the last bit; rho_ci_ns is the float expression.
-        rho_ci = [(2.0 * q - 1.0) ** 2 for q in ps]
-        reference = [column.tolist() for column in (s_ns, s_e, rho_min)] + [rho_ci]
+        rho_ci = (2.0 * p - 1.0) ** 2
+        reference = [column.tolist() for column in (s_ns, s_e, rho_min, rho_ci)]
         assert bits(list(isotropic_sweep(ps))) == bits(reference)
         assert bits(list(isotropic_sweep(p))) == bits(reference)
         for q, *values in zip(ps, *isotropic_sweep(ps)):

@@ -28,9 +28,17 @@ from mucorr.scenarios import (
     _check_number,
     validate_scenario,
 )
-from mucorr.spin import Direction
+from mucorr.spin import CLASSICAL_BOUND, Direction
 
-from references import builtin_quad, sweep_records, to_labeled_dict
+from references import (
+    Quad,
+    builtin_quad,
+    chsh_label,
+    chsh_s,
+    chsh_s_row,
+    sweep_records,
+    to_labeled_dict,
+)
 
 MANDATED_IDS = {
     "paper-standard",
@@ -243,7 +251,7 @@ class TestMonteCarloRows:
             assert s_row.quantity == "chsh_s"
             signed = [sign * r.mc_value for sign, r in zip((1.0, -1.0, 1.0, 1.0), pairs)]
             assert s_row.mc_value == abs(math.fsum(signed))
-            assert s_row.mc_std_error == math.sqrt(math.fsum(r.mc_std_error ** 2 for r in pairs))
+            assert s_row.mc_std_error == math.sqrt(math.fsum(r.mc_std_error * r.mc_std_error for r in pairs))
 
     def test_runs_are_reproducible(self):
         scenario = Scenario(
@@ -260,6 +268,22 @@ class TestMonteCarloRows:
             mc=SampleConfig(n_samples=10_000, seed=6),
         )
         assert run(reseeded)[0].mc_value != run(scenario)[0].mc_value
+
+
+class TestChshKind:
+    @given(
+        st.floats(-360.0, 360.0), st.sampled_from([-90.0, 90.0]),
+        st.floats(-360.0, 360.0), st.floats(-360.0, 360.0),
+    )
+    def test_chsh_s_row_equals_the_reference_formula(self, a, turn, b, b_prime):
+        degrees = (a, a + turn, b, b_prime)
+        keys = ("a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees")
+        row = chsh_s_row(Scenario("quad", "chsh", dict(zip(keys, degrees))))
+        s = chsh_s(Quad(*map(Direction.from_degrees, degrees)))
+        assert row.analytic.hex() == s.hex()
+        flags = row.flags.split(";")
+        assert flags[0] == f"class={chsh_label(s)}"
+        assert ("chsh_violated" in flags) == (s > CLASSICAL_BOUND)
 
 
 class TestCounterfactualKind:

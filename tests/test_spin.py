@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mucorr.nsbox import BoxClass, chsh_class
+from mucorr.scenarios import Scenario, _SPIN_CLASS_LABELS, builtin_scenarios
 from mucorr.spin import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
-    ChshClass,
     Direction,
-    SettingsQuad,
-    chsh_s,
-    classify_chsh,
     correlation,
     match_probability,
 )
 
-from references import builtin_quad
+from references import builtin_quad, chsh_label, chsh_s, chsh_s_row
 
 angles_deg = st.floats(-720.0, 720.0)
 
@@ -93,38 +91,48 @@ class TestChsh:
         assert got == (0.0, 90.0, 45.0, 135.0)
 
     def test_standard_value_is_quantum_maximum(self):
-        s = chsh_s(builtin_quad("paper-standard"))
-        assert abs(s - TSIRELSON_BOUND) <= 1e-12
+        row = chsh_s_row(builtin_scenarios()["paper-standard"])
+        assert row.analytic == chsh_s(builtin_quad("paper-standard"))
+        assert abs(row.analytic - TSIRELSON_BOUND) <= 1e-12
         # the computed double sits just below the bound constant, so the
         # exact-threshold classification must not tip into super-quantum
-        assert classify_chsh(s) is ChshClass.QUANTUM_VIOLATING
+        assert chsh_class(row.analytic) is BoxClass.QUANTUM_REGION
+        assert row.flags == "class=quantum_violating;chsh_violated"
 
     def test_modified_55_35_value(self):
         q = builtin_quad("paper-55-35")
         assert (q.b.degrees, q.b_prime.degrees) == (45.0, 55.0)
-        s = chsh_s(q)
-        assert abs(s - 1.6597891703110408) <= 1e-12
-        assert s < CLASSICAL_BOUND
-        assert classify_chsh(s) is ChshClass.LOCAL_COMPATIBLE
+        row = chsh_s_row(builtin_scenarios()["paper-55-35"])
+        assert row.analytic == chsh_s(q)
+        assert abs(row.analytic - 1.6597891703110408) <= 1e-12
+        assert row.analytic < CLASSICAL_BOUND
+        assert chsh_class(row.analytic) is BoxClass.LOCAL_CORRELATED
+        assert row.flags.startswith("class=local_compatible;")
 
     def test_classify_boundaries_fall_to_lower_class(self):
-        assert classify_chsh(0.0) is ChshClass.LOCAL_COMPATIBLE
-        assert classify_chsh(CLASSICAL_BOUND) is ChshClass.LOCAL_COMPATIBLE
-        assert classify_chsh(math.nextafter(2.0, 4.0)) is ChshClass.QUANTUM_VIOLATING
-        assert classify_chsh(TSIRELSON_BOUND) is ChshClass.QUANTUM_VIOLATING
-        assert (
-            classify_chsh(math.nextafter(TSIRELSON_BOUND, 4.0))
-            is ChshClass.SUPER_QUANTUM
-        )
-        assert classify_chsh(4.0) is ChshClass.SUPER_QUANTUM
+        expected = [
+            (0.0, BoxClass.LOCAL_CORRELATED),
+            (CLASSICAL_BOUND, BoxClass.LOCAL_CORRELATED),
+            (math.nextafter(2.0, 0.0), BoxClass.LOCAL_CORRELATED),
+            (math.nextafter(2.0, 4.0), BoxClass.QUANTUM_REGION),
+            (math.nextafter(TSIRELSON_BOUND, 0.0), BoxClass.QUANTUM_REGION),
+            (TSIRELSON_BOUND, BoxClass.QUANTUM_REGION),
+            (math.nextafter(TSIRELSON_BOUND, 4.0), BoxClass.SUPER_QUANTUM),
+            (4.0, BoxClass.SUPER_QUANTUM),
+        ]
+        for s, box_class in expected:
+            assert chsh_class(s) is box_class
+            # The chsh kind's label of the class is the reference's.
+            assert _SPIN_CLASS_LABELS[box_class] == chsh_label(s)
 
     @given(st.floats(-10.0, 10.0))
     def test_value_invariant_under_joint_rotation(self, r):
-        q = builtin_quad("paper-standard")
-        rotated = SettingsQuad(
-            a=q.a.rotated(r),
-            a_prime=q.a_prime.rotated(r),
-            b=q.b.rotated(r),
-            b_prime=q.b_prime.rotated(r),
+        standard = builtin_scenarios()["paper-standard"]
+        params = {
+            key: value + r for key, value in standard.parameters.items()
+            if key.endswith("_degrees")
+        }
+        rotated = chsh_s_row(Scenario("rotated", "chsh", params))
+        assert rotated.analytic == pytest.approx(
+            chsh_s_row(standard).analytic, abs=1e-12
         )
-        assert chsh_s(rotated) == pytest.approx(chsh_s(q), abs=1e-12)
