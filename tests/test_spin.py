@@ -127,9 +127,12 @@ class TestChsh:
 
     @given(st.floats(-10.0, 10.0))
     def test_value_invariant_under_joint_rotation(self, r):
+        # r is in radians, as Direction.rotated takes it, so the joint
+        # rotation crosses several wrap-arounds of [0, 360) degrees.
         standard = builtin_scenarios()["paper-standard"]
         params = {
-            key: value + r for key, value in standard.parameters.items()
+            key: value + math.degrees(r)
+            for key, value in standard.parameters.items()
             if key.endswith("_degrees")
         }
         rotated = chsh_s_row(Scenario("rotated", "chsh", params))
