@@ -36,7 +36,6 @@ from .montecarlo import (
 )
 from .nsbox import (
     BoxClass,
-    BoxClassification,
     NsBox,
     chsh_class,
     chsh_e_form,
@@ -70,7 +69,7 @@ from .spin import (
     match_probability,
 )
 
-__version__ = "0.4.2"
+__version__ = "0.4.3"
 
 # Every public name imported above, and nothing else.
 __all__ = sorted(

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 from .errors import DegenerateSequenceError, ValidationError
 from .montecarlo import SampleConfig
 from .scenarios import (
+    SWEEP_DIRECTIONS,
     SWEEP_PARAMETERS,
     ColumnBlocks,
     ResultRow,
@@ -54,9 +55,10 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
+    default = SampleConfig()
     parser.add_argument(
         "--mc", action="store_true",
-        help="add Monte Carlo estimates (default: n=1000000, seed=42)",
+        help=f"add Monte Carlo estimates (default: n={default.n_samples}, seed={default.seed})",
     )
     parser.add_argument(
         "--samples", type=int, metavar="N", default=None,
@@ -101,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--step", type=float, required=True, metavar="Z")
     sweep_p.add_argument(
         "--a-degrees", type=float, default=None, metavar="DEG",
-        help="measured direction for theta_degrees sweeps (default 0)",
+        help=f"measured direction for theta_degrees sweeps (default {SWEEP_DIRECTIONS[0]:g})",
     )
     sweep_p.add_argument(
         "--a-prime-degrees", type=float, default=None, metavar="DEG",
-        help="unmeasured direction for theta_degrees sweeps (default 90)",
+        help=f"unmeasured direction for theta_degrees sweeps (default {SWEEP_DIRECTIONS[1]:g})",
     )
     _add_output_flags(sweep_p)
 

@@ -299,16 +299,6 @@ class BoxClass(enum.Enum):
     SUPER_QUANTUM = "super_quantum"
 
 
-class BoxClassification(NamedTuple):
-    """Regime plus the three nonlocality-signature flags, each computed
-    independently of the regime."""
-
-    box_class: BoxClass
-    chsh_violated: bool
-    rho_min_positive_some_b: bool
-    ci_rho_positive: bool
-
-
 def chsh_class(s: float) -> BoxClass:
     """Regime of a CHSH value S >= 0, spin quad or box: against the bounds
     2 and 2*sqrt(2), exact on the computed double, boundaries belonging to
@@ -320,27 +310,12 @@ def chsh_class(s: float) -> BoxClass:
     return BoxClass.SUPER_QUANTUM
 
 
-def classify_box(box: NsBox) -> BoxClassification:
-    """Classify a valid box and report its nonlocality signatures.
-
-    Independent means all four correlators vanish (within 1e-9);
-    otherwise :func:`chsh_class` of the correlator-form CHSH value decides.
-    """
-    s_e = chsh_s_e(box)
+def classify_box(box: NsBox) -> BoxClass:
+    """Regime of a valid box: independent if all four correlators vanish
+    (within 1e-9), else :func:`chsh_class` of its correlator-form CHSH value."""
     if all(abs(e) <= CONSTRAINT_TOL for row in box._corr for e in row):
-        box_class = BoxClass.INDEPENDENT
-    else:
-        box_class = chsh_class(s_e)
-    return BoxClassification(
-        box_class=box_class,
-        chsh_violated=s_e > CLASSICAL_BOUND,
-        rho_min_positive_some_b=(
-            rho_min_ns(box, 0) > 0.0 or rho_min_ns(box, 1) > 0.0
-        ),
-        ci_rho_positive=(
-            ci_product(box, 0) > 0.0 or ci_product(box, 1) > 0.0
-        ),
-    )
+        return BoxClass.INDEPENDENT
+    return chsh_class(chsh_s_e(box))
 
 
 def from_labeled_dict(entries: dict[str, float]) -> NsBox:

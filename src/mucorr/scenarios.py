@@ -35,6 +35,8 @@ REMOTE_OPTION_NAMES = ("none", "b", "b_prime")
 SWEEP_PARAMETERS = ("theta_degrees", "isotropic_p")
 #: Most points one sweep may evaluate.
 MAX_GRID_POINTS = 1_000_000
+#: A theta sweep's measured and unmeasured directions, in degrees, by default.
+SWEEP_DIRECTIONS = (0.0, 90.0)
 #: Grid points per block of a sweep, which bounds the memory it holds.
 _SWEEP_BLOCK = 4096
 
@@ -199,19 +201,27 @@ def _check_angles(params: dict, keys: tuple[str, ...], problems: list[str], defa
     return degrees, [None if d is None else Direction.from_degrees(d) for d in degrees]
 
 
+def _check_orthogonal(
+    a: Direction | None, a_prime: Direction | None, problems: list[str],
+) -> None:
+    """Note a problem unless the measured and unmeasured directions, where
+    both are valid, are orthogonal."""
+    if a is None or a_prime is None:
+        return
+    try:
+        _require_orthogonal(a, a_prime)
+    except NotOrthogonalError:
+        problems.append(
+            "parameters.a_degrees and parameters.a_prime_degrees must be "
+            f"orthogonal directions, got dot product {correlation(a, a_prime)!r}"
+        )
+
+
 def _validate_chsh(params: dict, problems: list[str]):
     angles = ("a_degrees", "a_prime_degrees", "b_degrees", "b_prime_degrees")
     _check_extra_keys(params, {*angles, "remote_options", "annotation", "assume_ci"}, problems)
     degrees, directions = _check_angles(params, angles, problems)
-    a, a_prime = directions[:2]
-    if a is not None and a_prime is not None:
-        try:
-            _require_orthogonal(a, a_prime)
-        except NotOrthogonalError:
-            problems.append(
-                "parameters.a_degrees and parameters.a_prime_degrees must be "
-                f"orthogonal directions, got dot product {correlation(a, a_prime)!r}"
-            )
+    _check_orthogonal(*directions[:2], problems)
     options = params.get("remote_options")
     if options is None:
         options = REMOTE_OPTION_NAMES
@@ -242,7 +252,9 @@ def _validate_chsh(params: dict, problems: list[str]):
 def _validate_counterfactual(params: dict, problems: list[str]):
     angles = ("theta_degrees", "a_degrees", "a_prime_degrees")
     _check_extra_keys(params, set(angles), problems)
-    return _check_angles(params, angles, problems)[1]
+    directions = _check_angles(params, angles, problems)[1]
+    _check_orthogonal(*directions[1:], problems)
+    return directions
 
 
 def _validate_nsbox(params: dict, problems: list[str]):
@@ -335,31 +347,35 @@ def _validate_sweep(params: dict, problems: list[str]):
             f"parameters.stop must be >= parameters.start, got {start!r} > {stop!r}"
         )
     elif None not in (start, stop, step) and step > 0.0:
-        # grid_points makes floor(steps) + 1 points. In Decimal the count
-        # stays finite where the float quotient overflows.
+        # The grid holds _grid_steps(start, stop, step) + 1 points. Their
+        # count in Decimal stays finite where the float quotient overflows,
+        # and it reaches the cap only where the float count passes it too.
         steps = (Decimal(stop) - Decimal(start)) / Decimal(step)
-        if steps >= MAX_GRID_POINTS:
-            problems.append(
-                f"parameters.step {step!r} on [{start!r}, {stop!r}] gives "
-                f"{steps + 1:.7g} grid points, more than the {MAX_GRID_POINTS} allowed"
-            )
-        elif math.isinf(stop - start):
+        if steps < MAX_GRID_POINTS and math.isinf(stop - start):
             problems.append(
                 f"parameters.start {start!r} to parameters.stop {stop!r} spans "
                 "more than the largest float"
             )
         else:
-            size = _grid_steps(start, stop, step) + 1
-            if math.isinf(start + (size - 1) * step):
+            count = steps + 1 if steps >= MAX_GRID_POINTS else _grid_steps(start, stop, step) + 1
+            if count > MAX_GRID_POINTS:
+                problems.append(
+                    f"parameters.step {step!r} on [{start!r}, {stop!r}] gives "
+                    f"{count:.7g} grid points, more than the {MAX_GRID_POINTS} allowed"
+                )
+            elif math.isinf(start + (count - 1) * step):
                 problems.append(
                     f"parameters.step {step!r} on [{start!r}, {stop!r}] puts the last "
                     "grid point beyond the largest float"
                 )
+            else:
+                size = count
     a = a_prime = None
     if theta:
         a, a_prime = _check_angles(
-            params, ("a_degrees", "a_prime_degrees"), problems, defaults=(0.0, 90.0)
+            params, ("a_degrees", "a_prime_degrees"), problems, defaults=SWEEP_DIRECTIONS
         )[1]
+        _check_orthogonal(a, a_prime, problems)
     elif "a_degrees" in params or "a_prime_degrees" in params:
         problems.append(
             "parameters.a_degrees/a_prime_degrees apply only to theta_degrees sweeps"
@@ -604,26 +620,28 @@ def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[Resul
     for (a_in, b_in), est in zip(input_pairs, corr_ests):
         rows.append(_row(sid, f"E(a={a_in},b={b_in})", nsb.correlator(box, a_in, b_in), est))
 
-    classification = nsb.classify_box(box)
     parity_est = _signed_sum((1.0, 1.0, 1.0, 1.0), rate_ests)
     rows.append(_row(sid, "chsh_s_parity", nsb.chsh_s_ns(box), parity_est))
+    # Each verdict below reads the values of the rows that show it.
+    s_value = nsb.chsh_s_e(box)
     s_est = _signed_sum((1.0, 1.0, 1.0, -1.0), corr_ests)
-    rows.append(_chsh_row(sid, nsb.chsh_s_e(box), s_est, classification.box_class.value))
+    rows.append(_chsh_row(sid, s_value, s_est, nsb.classify_box(box).value))
 
-    for b_setting in (0, 1):
-        value = nsb.rho_min_ns(box, b_setting)
+    floors = [nsb.rho_min_ns(box, b_setting) for b_setting in (0, 1)]
+    for b_setting, value in enumerate(floors):
         rows.append(_row(
             sid, f"rho_min[b={b_setting}]", value,
             flags="rho_min_positive" if value > 0.0 else "",
         ))
-    for b_setting in (0, 1):
-        rows.append(_row(sid, f"ci_product[b={b_setting}]", nsb.ci_product(box, b_setting)))
+    products = [nsb.ci_product(box, b_setting) for b_setting in (0, 1)]
+    for b_setting, value in enumerate(products):
+        rows.append(_row(sid, f"ci_product[b={b_setting}]", value))
     if p_iso is not None:
         rows.append(_row(sid, "rho_ci", nsb.rho_ci_ns(p_iso)))
     rows.extend(_verdict_rows(sid, (
-        ("verdict_chsh_violated", classification.chsh_violated),
-        ("verdict_rho_min_positive", classification.rho_min_positive_some_b),
-        ("verdict_ci_rho_positive", classification.ci_rho_positive),
+        ("verdict_chsh_violated", s_value > CLASSICAL_BOUND),
+        ("verdict_rho_min_positive", any(value > 0.0 for value in floors)),
+        ("verdict_ci_rho_positive", any(value > 0.0 for value in products)),
     )))
     return rows
 

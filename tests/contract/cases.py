@@ -42,7 +42,7 @@ def sweep_argv(parameter: str, points: int) -> tuple[str, ...]:
         start, step, extra = 0.125, 0.75 / (points - 1), ()
     else:
         start, step = -30.5, 0.0625
-        extra = ("--a-degrees=12.5", "--a-prime-degrees=-71.0")
+        extra = ("--a-degrees=12.5", "--a-prime-degrees=-77.5")
     stop = start + (points - 1) * step
     return (
         "sweep", f"--parameter={parameter}",
@@ -105,7 +105,7 @@ VALID_DOCUMENTS = {
     "sweep-one-point": of_kind("sweep", {**SWEEP, "stop": 0.0}),
     "sweep-theta-defaults": of_kind("sweep", {"parameter": "theta_degrees", "start": -90,
                                               "stop": 450, "step": 22.5}),
-    # Unlike chsh, the counterfactual kind does not require a and a' orthogonal.
+    # a and a' must be orthogonal here, as in chsh: exit 1.
     "counterfactual-45-apart": of_kind("counterfactual", {
         "theta_degrees": 45, "a_degrees": 0, "a_prime_degrees": 45}),
     "id-with-comma": doc({"id": 'a,"b"', "kind": "classical", "parameters": COIN}),
@@ -219,6 +219,9 @@ MALFORMED_DOCUMENTS = {
     "sweep-step-zero": of_kind("sweep", {**SWEEP, "step": 0}),
     "sweep-stop-below-start": of_kind("sweep", {**SWEEP, "start": 1.0, "stop": 0.0}),
     "sweep-too-many-points": of_kind("sweep", {**SWEEP, "step": 1e-12}),
+    # The Decimal quotient is under 10^6; the grid as built has 10^6 + 1 points.
+    "sweep-grid-cap-edge": of_kind("sweep", {"parameter": "theta_degrees", "start": 0,
+                                             "stop": 999999.9999999999, "step": 1}),
     "sweep-isotropic-out-of-range": of_kind("sweep", {**SWEEP, "stop": 2}),
     "sweep-directions-on-isotropic": of_kind("sweep", {**SWEEP, "a_degrees": 0}),
     "sweep-extra": of_kind("sweep", {**SWEEP, "points": 3}),
@@ -305,6 +308,9 @@ FLAG_ERRORS = [
     Case("flags/list-out-directory", ("list", "--out", "scenarios")),
     Case("flags/sweep-stop-out-of-range", BAD_GRID[:-1] + ("2", "--step", "0.1")),
     Case("flags/sweep-too-many-points", BAD_GRID + ("--step", "1e-12")),
+    Case("flags/sweep-grid-cap-edge", ("sweep", "--parameter", "theta_degrees", "--start", "0",
+                                       "--stop", "999999.9999999999", "--step", "1",
+                                       "--format", "csv")),
     Case("flags/sweep-subnormal-step", BAD_GRID + ("--step", "1e-320")),
     Case("flags/sweep-step-zero", BAD_GRID + ("--step", "0")),
     Case("flags/sweep-step-negative", BAD_GRID + ("--step=-1",)),

@@ -355,7 +355,7 @@ def sweep_grid(parameter: str, points: int) -> dict:
     if parameter == "isotropic_p":
         grid = {"start": 0.125, "step": 0.75 / (points - 1)}
     else:
-        grid = {"start": -30.5, "step": 0.0625, "a_degrees": 12.5, "a_prime_degrees": -71.0}
+        grid = {"start": -30.5, "step": 0.0625, "a_degrees": 12.5, "a_prime_degrees": -77.5}
     grid["stop"] = grid["start"] + (points - 1) * grid["step"]
     return {"parameter": parameter, **grid}
 

@@ -32,7 +32,7 @@ COUNTERFACTUAL = {
 
 #: The public names of the package.
 PUBLIC_NAMES = [
-    "BoxClass", "BoxClassification", "CLASSICAL_BOUND",
+    "BoxClass", "CLASSICAL_BOUND",
     "CounterfactualReport", "DegenerateSequenceError", "Direction",
     "DomainError", "EmpiricalEstimate", "NonlocalityVerdict",
     "NotOrthogonalError", "NsBox", "ResultRow", "SampleConfig", "Scenario",

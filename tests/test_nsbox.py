@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mucorr.errors import DomainError, ValidationError
 from mucorr.nsbox import (
     BoxClass,
-    BoxClassification,
     NsBox,
     chsh_e_form,
     chsh_s_e,
@@ -26,6 +25,7 @@ from mucorr.nsbox import (
     target_probability,
     validate_no_signalling,
 )
+from mucorr.scenarios import Scenario, run
 
 from references import to_labeled_dict
 
@@ -118,10 +118,7 @@ def reference_quantities(table) -> dict:
             "chsh_s_e": s_e,
             "rho_min": rho_min,
             "ci_product": ci,
-            "classify": BoxClassification(
-                box_class, s_e > 2.0, rho_min[0] > 0.0 or rho_min[1] > 0.0,
-                ci[0] > 0.0 or ci[1] > 0.0,
-            ),
+            "classify": box_class,
             "violations": reference_violations(table),
         }
 
@@ -418,43 +415,60 @@ class TestCiQuantities:
             assert isotropic_parameter(NsBox(table.tolist())) is None
 
 
+def nsbox_rows(parameters: dict) -> dict:
+    """The result rows of an nsbox document with these parameters, by quantity."""
+    return {row.quantity: row for row in run(Scenario("box", "nsbox", parameters))}
+
+
+def verdict(rows: dict, name: str) -> bool:
+    """The verdict row of that name, which must read 1.0 "true" or 0.0 "false"."""
+    row = rows[name]
+    assert (row.analytic, row.flags) in ((1.0, "true"), (0.0, "false"))
+    return row.flags == "true"
+
+
+VERDICTS = ("verdict_chsh_violated", "verdict_rho_min_positive", "verdict_ci_rho_positive")
+
+
 class TestClassification:
     def test_flat_box_is_independent(self):
-        c = classify_box(make_isotropic(0.5))
-        assert c.box_class is BoxClass.INDEPENDENT
-        assert c.chsh_violated is False
-        assert c.rho_min_positive_some_b is False
-        assert c.ci_rho_positive is False
+        assert classify_box(make_isotropic(0.5)) is BoxClass.INDEPENDENT
+        rows = nsbox_rows({"isotropic_p": 0.5})
+        assert [verdict(rows, name) for name in VERDICTS] == [False, False, False]
 
     def test_local_correlated(self):
-        c = classify_box(make_isotropic(0.6))
-        assert c.box_class is BoxClass.LOCAL_CORRELATED
-        assert c.chsh_violated is False
-        assert c.rho_min_positive_some_b is False
-        assert c.ci_rho_positive is True  # (2p-1)^2 > 0 away from p = 0.5
+        assert classify_box(make_isotropic(0.6)) is BoxClass.LOCAL_CORRELATED
+        rows = nsbox_rows({"isotropic_p": 0.6})
+        # (2p-1)^2 > 0 away from p = 0.5
+        assert [verdict(rows, name) for name in VERDICTS] == [False, False, True]
 
     def test_quantum_region(self):
-        c = classify_box(make_isotropic(0.8))
-        assert c.box_class is BoxClass.QUANTUM_REGION
-        assert c.chsh_violated is True
-        assert c.rho_min_positive_some_b is True
-        assert c.ci_rho_positive is True
+        assert classify_box(make_isotropic(0.8)) is BoxClass.QUANTUM_REGION
+        rows = nsbox_rows({"isotropic_p": 0.8})
+        assert [verdict(rows, name) for name in VERDICTS] == [True, True, True]
 
     def test_super_quantum(self):
-        c = classify_box(make_isotropic(0.9))
-        assert c.box_class is BoxClass.SUPER_QUANTUM
-        assert c.chsh_violated is True
+        assert classify_box(make_isotropic(0.9)) is BoxClass.SUPER_QUANTUM
+        assert verdict(nsbox_rows({"isotropic_p": 0.9}), "verdict_chsh_violated")
 
     @given(correlator_values, correlator_values, correlator_values, correlator_values)
     def test_flags_match_their_definitions(self, e00, e01, e10, e11):
         box = from_correlators(e00, e01, e10, e11)
-        c = classify_box(box)
-        assert c.chsh_violated == (chsh_s_e(box) > 2.0)
-        assert c.rho_min_positive_some_b == (
+        rows = nsbox_rows({"correlators": [e00, e01, e10, e11]})
+        # Each verdict row equals its definition on the box.
+        assert verdict(rows, "verdict_chsh_violated") == (chsh_s_e(box) > 2.0)
+        assert verdict(rows, "verdict_rho_min_positive") == (
             rho_min_ns(box, 0) > 0.0 or rho_min_ns(box, 1) > 0.0
         )
-        assert c.ci_rho_positive == (
+        assert verdict(rows, "verdict_ci_rho_positive") == (
             ci_product(box, 0) > 0.0 or ci_product(box, 1) > 0.0
+        )
+        # Each verdict agrees with the flags of the rows that show its values.
+        assert verdict(rows, "verdict_chsh_violated") == (
+            "chsh_violated" in rows["chsh_s"].flags.split(";")
+        )
+        assert verdict(rows, "verdict_rho_min_positive") == any(
+            rows[f"rho_min[b={b}]"].flags == "rho_min_positive" for b in (0, 1)
         )
 
 

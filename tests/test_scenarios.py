@@ -26,6 +26,8 @@ from mucorr.scenarios import (
     load_scenario_file,
     run,
     _check_number,
+    _checked,
+    _grid_steps,
     validate_scenario,
 )
 from mucorr.spin import CLASSICAL_BOUND, Direction
@@ -80,21 +82,25 @@ BOXES = st.floats(0.0, 1.0).map(
     NUMBERS, max_size=17,
 )
 GRID = st.sampled_from([0, 0.25, 0.5, 1.0, 1e-3, 1e-6]) | NUMBERS
+#: Measured and unmeasured directions: orthogonal pairs, or any two angles.
+LOCAL_PAIRS = st.sampled_from([(0, 90.0), (45, -45.0)]) | st.tuples(ANGLES, ANGLES)
 PARAMETERS = {
     "chsh": st.builds(
         lambda local, b, b_prime, extra: {
             "a_degrees": local[0], "a_prime_degrees": local[1],
             "b_degrees": b, "b_prime_degrees": b_prime, **extra,
         },
-        st.sampled_from([(0, 90.0), (45, -45.0)]) | st.tuples(ANGLES, ANGLES),
-        ANGLES, ANGLES,
+        LOCAL_PAIRS, ANGLES, ANGLES,
         st.fixed_dictionaries({}, optional={
             "remote_options": st.lists(st.sampled_from(REMOTE_OPTION_NAMES), max_size=4),
             "annotation": st.text(max_size=8), "assume_ci": st.booleans(),
         }),
     ),
-    "counterfactual": st.fixed_dictionaries(
-        {"theta_degrees": ANGLES, "a_degrees": ANGLES, "a_prime_degrees": ANGLES},
+    "counterfactual": st.builds(
+        lambda theta, local: {
+            "theta_degrees": theta, "a_degrees": local[0], "a_prime_degrees": local[1],
+        },
+        ANGLES, LOCAL_PAIRS,
     ),
     "nsbox": st.fixed_dictionaries({"isotropic_p": NUMBERS})
     | st.fixed_dictionaries({"correlators": st.lists(NUMBERS, max_size=5)})
@@ -586,12 +592,14 @@ class TestValidation:
         )
         out_of_range = dict(base, stop=2.0)
         assert validate_scenario(self.mk("sweep", out_of_range))
-        # the grid cap: 10^6 points pass, one more does not, and a count
-        # beyond the float range is still named
+        # the grid cap: 10^6 points pass, one more does not, also where the
+        # span is a hair short of a whole number of steps, and a count beyond
+        # the float range is still named
         theta = {"parameter": "theta_degrees", "start": 0.0, "step": 1.0}
         assert validate_scenario(self.mk("sweep", dict(theta, stop=999_999.0))) == []
         for params, count in (
             (dict(theta, stop=1_000_000.0), "1000001"),
+            (dict(theta, stop=999_999.9999999999), "1000001"),
             (dict(base, step=1e-12), "1.000000e+12"),
             (dict(base, step=1e-320), "1.000011e+320"),
         ):
@@ -615,6 +623,49 @@ class TestValidation:
             "a_degrees" in p
             for p in validate_scenario(self.mk("sweep", angles_on_isotropic))
         )
+
+    @settings(max_examples=300)
+    @given(
+        start=st.sampled_from([0.0, -30.5, 0.125]) | st.floats(-1e6, 1e6),
+        step=st.sampled_from([1.0, 0.0625, 0.1, 1e-3]) | st.floats(1e-6, 1e3),
+        steps=st.integers(MAX_GRID_POINTS - 3, MAX_GRID_POINTS + 2),
+        ulps=st.integers(-3, 3),
+    )
+    def test_no_accepted_sweep_builds_more_than_the_cap(self, start, step, steps, ulps):
+        # A stop near a whole number of steps, where a count can round either way.
+        stop = start + steps * step
+        for _ in range(abs(ulps)):
+            stop = math.nextafter(stop, math.copysign(math.inf, ulps))
+        params = {"parameter": "theta_degrees", "start": start, "stop": stop, "step": step}
+        problems, checked = _checked(self.mk("sweep", params))
+        built = _grid_steps(start, stop, step) + 1  # len(grid_points(start, stop, step))
+        if built <= MAX_GRID_POINTS:
+            assert problems == []
+            assert checked[3] == built  # the size that the sweep's blocks cover
+        else:
+            assert len(problems) == 1
+            assert f"grid points, more than the {MAX_GRID_POINTS} allowed" in problems[0]
+
+    def test_every_measured_unmeasured_pair_must_be_orthogonal(self):
+        problem = (
+            "parameters.a_degrees and parameters.a_prime_degrees must be orthogonal "
+            "directions, got dot product 0.7071067811865476"
+        )
+        theta_sweep = {"parameter": "theta_degrees", "start": 0, "stop": 90, "step": 45}
+        for kind, params in (
+            ("chsh", {"a_degrees": 0, "a_prime_degrees": 45, "b_degrees": 45,
+                      "b_prime_degrees": 135}),
+            ("counterfactual", {"theta_degrees": 45, "a_degrees": 0, "a_prime_degrees": 45}),
+            ("sweep", dict(theta_sweep, a_prime_degrees=45)),  # a defaults to 0
+        ):
+            assert validate_scenario(self.mk(kind, params)) == [problem]
+        for kind, params in (
+            ("counterfactual", {"theta_degrees": 45, "a_degrees": 12.5,
+                                "a_prime_degrees": -77.5}),
+            ("sweep", dict(theta_sweep, a_degrees=12.5, a_prime_degrees=-77.5)),
+            ("sweep", theta_sweep),  # 0 and 90
+        ):
+            assert validate_scenario(self.mk(kind, params)) == []
 
     def test_run_rejects_invalid_scenario(self):
         with pytest.raises(ValidationError):
@@ -917,7 +968,7 @@ class TestRecords:
             ResultRow("s", "q", 1.25), Scenario("a", "chsh"), Direction(1.0), q,
             SampleConfig(), EmpiricalEstimate(0.5, 0.01, 100),
             nsb.ConstraintViolation("normalization", "sum P(.,.|0,0)", 0.1),
-            nsb.classify_box(nsb.make_isotropic(1.0)), report_for_option(None, q.a, q.a_prime),
+            report_for_option(None, q.a, q.a_prime),
             nonlocality_verdict(q.a, q.a_prime, [None, q.b]),
         ]
         for record in records:
