@@ -1,13 +1,16 @@
-"""The package never imports numpy, and the CLI starts without
-`dataclasses` or `inspect`.
+"""The package never imports numpy, the CLI starts without `dataclasses`
+or `inspect`, and the public names are those listed here and in README.
 
 A scan of the sources finds no numpy import. Each call check runs in a
 fresh interpreter, since a module once imported stays in `sys.modules`:
 no path of the CLI loads numpy, Monte Carlo included.
 """
 import ast
+import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -170,3 +173,33 @@ def test_scenarios_reach_nsbox_through_a_module_alias():
     assert isinstance(scenarios.nsb, types.ModuleType)
     assert scenarios.nsb.__name__ == "mucorr.nsbox"
     assert scenarios.nsb is sys.modules["mucorr.nsbox"] is mucorr.nsbox
+
+
+def removed_names() -> list[str]:
+    """The names that README's "Removed from the library" bullets give in
+    backticks before their colon, call parentheses dropped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("**Removed from the library.**", 1)[1].split("\n**", 1)[0]
+    names = []
+    for bullet in section.split("\n- ")[1:]:
+        head = bullet.split(":", 1)[0]
+        names += [re.match(r"[\w.]+", code)[0] for code in re.findall(r"`([^`]+)`", head)]
+    return names
+
+
+def test_names_that_readme_lists_as_removed_are_gone():
+    names = removed_names()
+    assert len(names) >= 19 and "BoxClassification" in names
+    modules = [mucorr] + [
+        importlib.import_module(f"mucorr.{info.name}")
+        for info in pkgutil.iter_modules(mucorr.__path__) if info.name != "__main__"
+    ]
+    for name in names:
+        if "." in name:  # resolved against the package: NsBox.table
+            path, attr = name.rsplit(".", 1)
+            owner = mucorr
+            for step in path.split("."):
+                owner = getattr(owner, step)
+            assert not hasattr(owner, attr), name
+        else:
+            assert [m.__name__ for m in modules if hasattr(m, name)] == [], name
