@@ -7,13 +7,9 @@ cross-checked by a seeded Monte Carlo estimate.
 from types import ModuleType as _ModuleType
 
 from .counterfactual import (
-    CounterfactualReport,
-    NonlocalityVerdict,
     binary_entropy,
     info_leakage,
     max_info_direction,
-    nonlocality_verdict,
-    report_for_option,
     rho_conditional_independence,
     rho_min_quantum,
 )
@@ -69,7 +65,7 @@ from .spin import (
     match_probability,
 )
 
-__version__ = "0.4.3"
+__version__ = "0.4.4"
 
 # Every public name imported above, and nothing else.
 __all__ = sorted(

@@ -9,13 +9,14 @@ happened. This module computes:
   (an overlap bound on match rates against the shared remote outcomes),
 * the conditional-independence (CI) product value of that correlation,
 * the information, in bits, that a measured outcome leaks about the
-  unmeasured one, and
-* a nonlocality verdict over a set of remote-measurement options.
+  unmeasured one.
+
+A chsh run decides its nonlocality verdicts from the rows that show these
+values (see `scenarios`).
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DomainError, NotOrthogonalError
 from .spin import Direction, correlation, match_probability
@@ -23,6 +24,27 @@ from .spin import Direction, correlation, match_probability
 ORTHOGONALITY_TOL = 1e-12
 #: Two CI correlations are "different" if they differ by more than this.
 CI_DIFFERENCE_TOL = 1e-12
+
+
+def _pair(r1: float, r2: float, c1: float, c2: float) -> tuple[float, float]:
+    """Floor and CI product of one measured/unmeasured pair against one
+    remote option, from the two outcomes' match (or target) rates r1, r2
+    with the remote outcome and their correlations c1, c2 with it.
+
+    The two outcomes match each other at a rate of at least r1 + r2 - 1,
+    so they correlate at least 2 (r1 + r2) - 3, floored at -1 (also for a
+    nan sum). Under conditional independence they correlate c1 * c2.
+    """
+    floor = 2.0 * (r1 + r2) - 3.0
+    return floor if floor > -1.0 else -1.0, c1 * c2
+
+
+def _spin_pair(theta: Direction, a: Direction, a_prime: Direction) -> tuple[float, float]:
+    """:func:`_pair` of the spin pair a, a' against the remote direction theta."""
+    return _pair(
+        match_probability(theta, a), match_probability(theta, a_prime),
+        correlation(theta, a), correlation(theta, a_prime),
+    )
 
 
 def rho_min_quantum(theta: Direction, a: Direction, a_prime: Direction) -> float:
@@ -33,9 +55,7 @@ def rho_min_quantum(theta: Direction, a: Direction, a_prime: Direction) -> float
     of at least max(0, p1 + p2 - 1), hence a minimum correlation. Vacuous
     bounds floor at -1.
     """
-    p1 = match_probability(theta, a)
-    p2 = match_probability(theta, a_prime)
-    return 2.0 * max(0.0, p1 + p2 - 1.0) - 1.0
+    return _spin_pair(theta, a, a_prime)[0]
 
 
 def rho_conditional_independence(
@@ -83,93 +103,3 @@ def max_info_direction(a: Direction, a_prime: Direction) -> tuple[Direction, flo
     bisector = Direction(a.angle + 0.5 * arc)
     rho = rho_conditional_independence(bisector, a, a_prime)
     return bisector, info_leakage(0.5 * (1.0 + rho))
-
-
-class CounterfactualReport(NamedTuple):
-    """Per-remote-option analytics for one measured/unmeasured pair.
-
-    `remote_setting` of None means no remote measurement was performed,
-    in which case both correlations are 0 and nothing is leaked.
-    `nonlocal_flag` records the assumption-free signature rho_min > 0 for
-    this option alone.
-    """
-
-    remote_setting: Direction | None
-    rho_min: float
-    rho_ci: float
-    info_bits: float
-    total_bits: float
-    nonlocal_flag: bool
-
-
-class NonlocalityVerdict(NamedTuple):
-    """Outcome of comparing the correlation across remote options.
-
-    The two inference routes are reported separately: `rho_min_route` is
-    assumption-free (some option forces a positive minimum correlation);
-    `ci_route` holds when the CI values differ across options.
-    `is_nonlocal` combines whichever routes were enabled.
-    """
-
-    reports: tuple[CounterfactualReport, ...]
-    rho_min_route: bool
-    ci_route: bool
-    is_nonlocal: bool
-
-
-def report_for_option(
-    option: Direction | None, a: Direction, a_prime: Direction
-) -> CounterfactualReport:
-    """Build the per-option report; no remote measurement means zero
-    correlation by assumption."""
-    if option is None:
-        return CounterfactualReport(
-            remote_setting=None,
-            rho_min=0.0,
-            rho_ci=0.0,
-            info_bits=0.0,
-            total_bits=1.0,
-            nonlocal_flag=False,
-        )
-    rho_min = rho_min_quantum(option, a, a_prime)
-    rho_ci = rho_conditional_independence(option, a, a_prime)
-    info = info_leakage(0.5 * (1.0 + rho_ci))
-    return CounterfactualReport(
-        remote_setting=option,
-        rho_min=rho_min,
-        rho_ci=rho_ci,
-        info_bits=info,
-        total_bits=1.0 + info,
-        nonlocal_flag=rho_min > 0.0,
-    )
-
-
-def nonlocality_verdict(
-    a: Direction,
-    a_prime: Direction,
-    remote_options: list[Direction | None],
-    assume_conditional_independence: bool = True,
-) -> NonlocalityVerdict:
-    """Decide whether the measured/unmeasured correlation must depend on
-    the remote choice, which is the nonlocality signature.
-
-    Route (i), assumption-free: some option forces rho_min > 0. Route
-    (ii), active only under the CI assumption: the CI correlation is not
-    the same for every option (tolerance 1e-12).
-    """
-    _require_orthogonal(a, a_prime)
-    reports = tuple(report_for_option(opt, a, a_prime) for opt in remote_options)
-    rho_min_route = any(r.rho_min > 0.0 for r in reports)
-    ci_values = [r.rho_ci for r in reports]
-    ci_route = bool(ci_values) and (
-        max(ci_values) - min(ci_values) > CI_DIFFERENCE_TOL
-    )
-    nonlocal_overall = rho_min_route or (
-        assume_conditional_independence and ci_route
-    )
-    return NonlocalityVerdict(
-        reports=reports,
-        rho_min_route=rho_min_route,
-        ci_route=ci_route,
-        is_nonlocal=nonlocal_overall,
-    )

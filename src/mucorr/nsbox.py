@@ -17,6 +17,7 @@ import numbers
 import reprlib
 from typing import NamedTuple
 
+from .counterfactual import _pair
 from .errors import DomainError, ValidationError, _finite_float
 from .spin import CLASSICAL_BOUND, TSIRELSON_BOUND
 
@@ -128,10 +129,10 @@ def isotropic_sweep(p) -> tuple[list[float], list[float], list[float], list[floa
         e = win - lose
         s_ns.append(abs(win + win + win + win))
         s_e.append(abs(e + e + e - (lose - win)))
-        floor = 2.0 * (win + win) - 3.0
-        rho_min.append(floor if floor > -1.0 else -1.0)
         bias = 2.0 * q - 1.0
-        rho_ci.append(bias * bias)
+        floor, product = _pair(win, win, bias, bias)
+        rho_min.append(floor)
+        rho_ci.append(product)
     return s_ns, s_e, rho_min, rho_ci
 
 
@@ -240,6 +241,15 @@ def chsh_s_e(box: NsBox) -> float:
     return abs(chsh_e_form(box))
 
 
+def _target_pair(box: NsBox, b_setting: int) -> tuple[float, float]:
+    """:func:`counterfactual._pair` of the box's two target rates for the
+    remote input b_setting, and of their correlations 2w - 1."""
+    if b_setting not in (0, 1):
+        raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
+    w0, w1 = (row[b_setting] for row in box._win)
+    return _pair(w0, w1, 2.0 * w0 - 1.0, 2.0 * w1 - 1.0)
+
+
 def rho_min_ns(box: NsBox, b_setting: int) -> float:
     """Minimum correlation between the measured and unmeasured A outcomes
     when the remote input was b_setting.
@@ -248,11 +258,7 @@ def rho_min_ns(box: NsBox, b_setting: int) -> float:
     input pair (1, 1) the match target flips to A xor B = 1, which is the
     box's own winning correlation there.
     """
-    if b_setting not in (0, 1):
-        raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
-    win = box._win
-    # max(-1.0, x) gives -1.0 for a nan x.
-    return max(-1.0, 2.0 * (win[0][b_setting] + win[1][b_setting]) - 3.0)
+    return _target_pair(box, b_setting)[0]
 
 
 def rho_ci_ns(p: float) -> float:
@@ -270,10 +276,7 @@ def ci_product(box: NsBox, b_setting: int) -> float:
 
     Reduces to (2p - 1)^2 on the isotropic family.
     """
-    if b_setting not in (0, 1):
-        raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
-    w0, w1 = (row[b_setting] for row in box._win)
-    return (2.0 * w0 - 1.0) * (2.0 * w1 - 1.0)
+    return _target_pair(box, b_setting)[1]
 
 
 def isotropic_parameter(box: NsBox) -> float | None:

@@ -20,11 +20,11 @@ from typing import Iterator, NamedTuple
 from . import montecarlo as mc
 from . import nsbox as nsb
 from .counterfactual import (
+    CI_DIFFERENCE_TOL,
     _require_orthogonal,
+    _spin_pair,
     info_leakage,
     max_info_direction,
-    nonlocality_verdict,
-    report_for_option,
     rho_conditional_independence,
 )
 from .errors import NotOrthogonalError, ValidationError, _finite_float
@@ -509,17 +509,19 @@ def _chsh_row(
 
 
 def _report_rows(
-    sid: str, report, ci_est: EmpiricalEstimate | None, suffix: str = "", tag: str = "",
+    sid: str, floor: float, rho_ci: float, ci_est: EmpiricalEstimate | None,
+    suffix: str = "", tag: str = "",
 ) -> list[ResultRow]:
     """The four rows of a counterfactual report, each quantity named with
-    the suffix and flagged with the tag."""
-    positive = "rho_min_positive" if report.nonlocal_flag else ""
-    min_flags = ";".join(filter(None, (tag, positive)))
+    the suffix and flagged with the tag: the floor, the CI correlation, and
+    the bits that the CI correlation leaks, alone and with the measured bit."""
+    positive = "rho_min_positive" if floor > 0.0 else ""
+    info = info_leakage(0.5 * (1.0 + rho_ci))
     return [
-        _row(sid, f"rho_min{suffix}", report.rho_min, flags=min_flags),
-        _row(sid, f"rho_ci{suffix}", report.rho_ci, ci_est, tag),
-        _row(sid, f"info_bits{suffix}", report.info_bits, flags=tag),
-        _row(sid, f"total_bits{suffix}", report.total_bits, flags=tag),
+        _row(sid, f"rho_min{suffix}", floor, flags=";".join(filter(None, (tag, positive)))),
+        _row(sid, f"rho_ci{suffix}", rho_ci, ci_est, tag),
+        _row(sid, f"info_bits{suffix}", info, flags=tag),
+        _row(sid, f"total_bits{suffix}", 1.0 + info, flags=tag),
     ]
 
 
@@ -562,30 +564,34 @@ def _run_chsh(
     label = _SPIN_CLASS_LABELS[nsb.chsh_class(s_value)]
     rows.append(_chsh_row(sid, s_value, s_est, label, annotation))
 
-    option_dirs: list[Direction | None] = [
-        {"none": None, "b": b, "b_prime": b_prime}[name] for name in option_names
-    ]
-    verdict = nonlocality_verdict(
-        a, a_prime, option_dirs, assume_conditional_independence=assume_ci
-    )
-    for position, (name, theta, report) in enumerate(
-        zip(option_names, option_dirs, verdict.reports)
-    ):
-        tag = "no_remote" if theta is None else f"theta={_fmt_angle(theta.degrees)}"
+    floors, cis = [], []
+    for position, name in enumerate(option_names):
+        theta = {"none": None, "b": b, "b_prime": b_prime}[name]
         ci_est = None
-        if cfg is not None and theta is not None:
-            ci_est = mc.estimate_ci_correlation(
-                theta, a, a_prime, cfg, _OPTION_STREAM_BASE + position
-            )
-        rows.extend(_report_rows(sid, report, ci_est, f"[remote={name}]", tag))
+        if theta is None:  # no remote measurement: no correlation, by assumption
+            tag, floor, rho_ci = "no_remote", 0.0, 0.0
+        else:
+            tag = f"theta={_fmt_angle(theta.degrees)}"
+            floor, rho_ci = _spin_pair(theta, a, a_prime)
+            if cfg is not None:
+                ci_est = mc.estimate_ci_correlation(
+                    theta, a, a_prime, cfg, _OPTION_STREAM_BASE + position
+                )
+        floors.append(floor)
+        cis.append(rho_ci)
+        rows.extend(_report_rows(sid, floor, rho_ci, ci_est, f"[remote={name}]", tag))
 
     best_theta, best_bits = max_info_direction(a, a_prime)
     rows.append(_row(sid, "max_info_theta_degrees", best_theta.degrees))
     rows.append(_row(sid, "max_info_bits", best_bits))
+    # Each verdict reads the values of the rho_min and rho_ci rows above:
+    # route (i) is assumption-free, route (ii) counts only under CI.
+    rho_min_route = any(floor > 0.0 for floor in floors)
+    ci_route = max(cis) - min(cis) > CI_DIFFERENCE_TOL
     rows.extend(_verdict_rows(sid, (
-        ("verdict_rho_min_route", verdict.rho_min_route),
-        ("verdict_ci_route", verdict.ci_route),
-        ("verdict_nonlocal", verdict.is_nonlocal),
+        ("verdict_rho_min_route", rho_min_route),
+        ("verdict_ci_route", ci_route),
+        ("verdict_nonlocal", rho_min_route or (assume_ci and ci_route)),
     )))
     return rows
 
@@ -593,11 +599,10 @@ def _run_chsh(
 def _run_counterfactual(
     sid: str, cfg: SampleConfig | None, theta: Direction, a: Direction, a_prime: Direction,
 ) -> list[ResultRow]:
-    report = report_for_option(theta, a, a_prime)
     ci_est = None
     if cfg is not None:
         ci_est = mc.estimate_ci_correlation(theta, a, a_prime, cfg, 0)
-    return _report_rows(sid, report, ci_est)
+    return _report_rows(sid, *_spin_pair(theta, a, a_prime), ci_est)
 
 
 def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[ResultRow]:
@@ -627,13 +632,12 @@ def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[Resul
     s_est = _signed_sum((1.0, 1.0, 1.0, -1.0), corr_ests)
     rows.append(_chsh_row(sid, s_value, s_est, nsb.classify_box(box).value))
 
-    floors = [nsb.rho_min_ns(box, b_setting) for b_setting in (0, 1)]
+    floors, products = zip(*(nsb._target_pair(box, b_setting) for b_setting in (0, 1)))
     for b_setting, value in enumerate(floors):
         rows.append(_row(
             sid, f"rho_min[b={b_setting}]", value,
             flags="rho_min_positive" if value > 0.0 else "",
         ))
-    products = [nsb.ci_product(box, b_setting) for b_setting in (0, 1)]
     for b_setting, value in enumerate(products):
         rows.append(_row(sid, f"ci_product[b={b_setting}]", value))
     if p_iso is not None:

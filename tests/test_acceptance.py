@@ -24,8 +24,6 @@ from mucorr import (
     estimate_shapes_correlation,
     make_isotropic,
     max_info_direction,
-    nonlocality_verdict,
-    report_for_option,
     rho_ci_ns,
     rho_conditional_independence,
     rho_min_ns,
@@ -34,15 +32,14 @@ from mucorr import (
     validate_no_signalling,
 )
 from mucorr.nsbox import NsBox
-from mucorr.scenarios import builtin_scenarios, run
+from mucorr.scenarios import Scenario, builtin_scenarios, run
 
-from references import chsh_s_row
+from references import chsh_s_row, sweep_records
 
 A = Direction.from_degrees(0.0)
 A_PRIME = Direction.from_degrees(90.0)
 B = Direction.from_degrees(45.0)
 B_PRIME_55 = Direction.from_degrees(55.0)
-B_PRIME_135 = Direction.from_degrees(135.0)
 
 GRID = [i * 0.001 for i in range(1001)]
 
@@ -91,13 +88,15 @@ def test_criterion_04_information_leakage_maximum(report):
     best_dir, best_bits = max_info_direction(A, A_PRIME)
     target = 1.0 - binary_entropy(0.75)
     diff = abs(best_bits - 0.18872187554086717)
-    total = report_for_option(best_dir, A, A_PRIME).total_bits
-
-    def bits_at(degrees):
-        return report_for_option(Direction.from_degrees(degrees), A, A_PRIME).info_bits
+    total = next(row.analytic for row in run(Scenario("s", "counterfactual", {
+        "theta_degrees": best_dir.degrees, "a_degrees": 0.0, "a_prime_degrees": 90.0,
+    })) if row.quantity == "total_bits")
 
     # The first maximum of the CI leakage on a 0.01-degree grid from a to a'.
-    scan_theta = max((i / 100 for i in range(9001)), key=bits_at)
+    scan = sweep_records(Scenario("s", "sweep", {
+        "parameter": "theta_degrees", "start": 0.0, "stop": 90.0, "step": 0.01,
+    }))
+    scan_theta = max(scan, key=lambda record: record["info_bits"])["theta_degrees"]
     ok = (
         diff <= 1e-9
         and abs(best_bits - target) <= 1e-15
@@ -126,24 +125,29 @@ def test_criterion_05_nonviolating_settings_report_derived_value(report):
 
 
 def test_criterion_06_verdict_finds_nonlocality_without_violation(report):
-    verdict = nonlocality_verdict(A, A_PRIME, [None, B, B_PRIME_55])
-    ci_values = sorted(r.rho_ci for r in verdict.reports)
+    # Remote options none, b = 45 and b' = 55 degrees.
+    rows = {row.quantity: row for row in run(builtin_scenarios()["paper-55-35"])}
+    ci_values = sorted(rows[f"rho_ci[remote={name}]"].analytic for name in ("none", "b", "b_prime"))
     expected = [0.0, 0.46984631039295427, 0.5000000000000001]
-    values_ok = all(
+    values_ok = len(ci_values) == 3 and all(
         abs(got - want) <= 1e-12 for got, want in zip(ci_values, expected)
     )
-    standard = nonlocality_verdict(A, A_PRIME, [None, B, B_PRIME_135])
+    rho_min_route, ci_route, is_nonlocal = (
+        rows[name].flags == "true"
+        for name in ("verdict_rho_min_route", "verdict_ci_route", "verdict_nonlocal")
+    )
+    standard = {row.quantity: row for row in run(builtin_scenarios()["paper-standard"])}
     ok = (
-        verdict.rho_min_route
-        and verdict.ci_route
-        and verdict.is_nonlocal
+        rho_min_route
+        and ci_route
+        and is_nonlocal
         and values_ok
-        and standard.is_nonlocal
+        and standard["verdict_nonlocal"].flags == "true"
     )
     report(
         6,
         ok,
-        f"routes=(rho_min={verdict.rho_min_route}, ci={verdict.ci_route}), "
+        f"routes=(rho_min={rho_min_route}, ci={ci_route}), "
         f"ci values={ci_values!r}",
     )
 

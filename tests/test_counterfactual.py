@@ -4,12 +4,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import references as ref
 from mucorr.counterfactual import (
+    _pair,
     binary_entropy,
     info_leakage,
     max_info_direction,
-    nonlocality_verdict,
-    report_for_option,
     rho_conditional_independence,
     rho_min_quantum,
 )
@@ -17,8 +17,10 @@ from mucorr.errors import (
     DegenerateSequenceError,
     DomainError,
     NotOrthogonalError,
+    ValidationError,
 )
 from mucorr.montecarlo import estimate_correlation
+from mucorr.scenarios import Scenario, run
 from mucorr.spin import Direction, correlation, match_probability
 
 A_DIR = Direction.from_degrees(0.0)
@@ -34,6 +36,24 @@ def pearson(m, u) -> float:
     pairs = list(zip(m, u))
     cells = ((1, 1), (1, -1), (-1, 1), (-1, -1))
     return estimate_correlation(tuple(pairs.count(cell) for cell in cells)).value
+
+
+def rows_of(kind: str, **params) -> dict:
+    """The rows of a run of the kind, by quantity."""
+    return {row.quantity: row for row in run(Scenario("s", kind, params))}
+
+
+def chsh_rows(options: list[str], **params) -> dict:
+    """The rows of a chsh run with a = 0, a' = 90, b = 45 and b' = 135
+    (unless given) and these remote options."""
+    angles = {"a_degrees": 0.0, "a_prime_degrees": 90.0, "b_degrees": 45.0, "b_prime_degrees": 135.0}
+    return rows_of("chsh", **{**angles, "remote_options": options, **params})
+
+
+def verdicts(rows: dict) -> tuple[bool, bool, bool]:
+    """The rho_min route, the CI route and the overall verdict of a chsh run."""
+    routes = ("verdict_rho_min_route", "verdict_ci_route", "verdict_nonlocal")
+    return tuple(rows[name].flags == "true" for name in routes)
 
 
 def rho_ci_reference(x: float) -> float:
@@ -76,6 +96,58 @@ class TestPearson:
         assume(len(set(m)) == 2)
         u = [-x for x in m]
         assert pearson(m, u) == -1.0
+
+
+def near_sum(r1: float, total: float, ulps: int) -> float:
+    """total - r1, moved by `ulps` units in the last place."""
+    r2 = total - r1
+    for _ in range(abs(ulps)):
+        r2 = math.nextafter(r2, math.copysign(math.inf, ulps))
+    return r2
+
+
+@st.composite
+def pair_inputs(draw):
+    """(r1, r2, c1, c2): spin match rates and correlations at angles in
+    +/-720 degrees, random target rates w and their correlations 2w - 1, or
+    target rates whose sum lies within a few ulps of 1 (where the floor
+    leaves -1) or of 1.5 (where it crosses 0)."""
+    source = draw(st.sampled_from(["spin", "target", "near"]))
+    if source == "spin":
+        theta, a, a_prime = [Direction.from_degrees(draw(st.floats(-720.0, 720.0))) for _ in range(3)]
+        return (
+            match_probability(theta, a), match_probability(theta, a_prime),
+            correlation(theta, a), correlation(theta, a_prime),
+        )
+    w0 = draw(probabilities)
+    if source == "target":
+        w1 = draw(probabilities)
+    else:
+        w1 = near_sum(w0, draw(st.sampled_from([1.0, 1.5])), draw(st.integers(-4, 4)))
+        assume(0.0 <= w1 <= 1.0)
+    return w0, w1, 2.0 * w0 - 1.0, 2.0 * w1 - 1.0
+
+
+class TestPairCore:
+    """`_pair` equals, bit for bit and sign of zero included, each form in
+    which the package once wrote the floor and the CI product."""
+
+    @given(pair_inputs())
+    def test_core_equals_every_former_form(self, inputs):
+        r1, r2, c1, c2 = inputs
+        floor, product = _pair(*inputs)
+        for former in (
+            ref.rho_min_from_match_rates, ref.rho_min_from_target_rates, ref.rho_min_sweep_loop,
+        ):
+            assert floor.hex() == former(r1, r2).hex(), former.__name__
+        assert product.hex() == ref.ci_from_correlations(c1, c2).hex()
+        if (c1, c2) == (2.0 * r1 - 1.0, 2.0 * r2 - 1.0):
+            assert product.hex() == ref.ci_from_target_rates(r1, r2).hex()
+
+    def test_sums_at_the_edges(self):
+        # A sum of 1 gives -1, of 1.5 gives +0.0 (not -0.0), and nan gives -1.
+        floors = [_pair(r1, r2, 0.0, 0.0)[0] for r1, r2 in [(0.5, 0.5), (0.75, 0.75), (math.nan, 0.5)]]
+        assert [floor.hex() for floor in floors] == [(-1.0).hex(), (0.0).hex(), (-1.0).hex()]
 
 
 class TestOverlapBound:
@@ -190,13 +262,13 @@ class TestEntropyAndInfo:
 class TestInfoScan:
     def test_maximum_on_grid_is_the_bisector(self):
         # The CI leakage on a 1-degree grid of remote angles from a to a'.
-        scan = [
-            (theta.degrees, report_for_option(theta, A_DIR, A_PRIME_DIR).info_bits)
-            for theta in map(Direction.from_degrees, range(91))
-        ]
-        best_theta, best_bits = max(scan, key=lambda pair: pair[1])
-        assert best_theta == 45.0
-        assert best_bits == 0.18872187554086717
+        scan = ref.sweep_records(Scenario("s", "sweep", {
+            "parameter": "theta_degrees", "start": 0.0, "stop": 90.0, "step": 1.0,
+        }))
+        best = max(scan, key=lambda record: record["info_bits"])
+        assert len(scan) == 91
+        assert best["theta_degrees"] == 45.0
+        assert best["info_bits"] == 0.18872187554086717
 
     def test_max_info_direction(self):
         theta, bits = max_info_direction(A_DIR, A_PRIME_DIR)
@@ -209,53 +281,41 @@ class TestInfoScan:
 
 
 class TestReportsAndVerdict:
+    """The report rows of each remote option, and the three verdict rows
+    that a chsh run decides from them."""
+
     def test_no_remote_option_is_inert(self):
-        report = report_for_option(None, A_DIR, A_PRIME_DIR)
-        assert report.remote_setting is None
-        assert report.rho_min == 0.0
-        assert report.rho_ci == 0.0
-        assert report.info_bits == 0.0
-        assert report.total_bits == 1.0
-        assert report.nonlocal_flag is False
+        rows = chsh_rows(["none"])
+        assert rows["rho_min[remote=none]"].analytic == 0.0
+        assert rows["rho_ci[remote=none]"].analytic == 0.0
+        assert rows["info_bits[remote=none]"].analytic == 0.0
+        assert rows["total_bits[remote=none]"].analytic == 1.0
+        assert rows["rho_min[remote=none]"].flags == "no_remote"
 
     def test_bisector_option(self):
-        report = report_for_option(Direction.from_degrees(45.0), A_DIR, A_PRIME_DIR)
-        assert report.rho_min == 0.4142135623730949
-        assert abs(report.rho_ci - 0.5) <= 1e-12
-        assert report.total_bits == 1.0 + report.info_bits
-        assert report.nonlocal_flag is True
+        rows = rows_of("counterfactual", theta_degrees=45.0, a_degrees=0.0, a_prime_degrees=90.0)
+        assert rows["rho_min"].analytic == 0.4142135623730949
+        assert abs(rows["rho_ci"].analytic - 0.5) <= 1e-12
+        assert rows["total_bits"].analytic == 1.0 + rows["info_bits"].analytic
+        assert rows["rho_min"].flags == "rho_min_positive"
 
     def test_verdict_both_routes(self):
-        verdict = nonlocality_verdict(
-            A_DIR,
-            A_PRIME_DIR,
-            [None, Direction.from_degrees(45.0), Direction.from_degrees(135.0)],
-        )
-        assert verdict.rho_min_route is True
-        assert verdict.ci_route is True
-        assert verdict.is_nonlocal is True
-        assert len(verdict.reports) == 3
+        rows = chsh_rows(["none", "b", "b_prime"])
+        assert verdicts(rows) == (True, True, True)
+        assert [q for q in rows if q.startswith("total_bits")] == [
+            "total_bits[remote=none]", "total_bits[remote=b]", "total_bits[remote=b_prime]",
+        ]
 
     def test_verdict_single_inert_option(self):
-        verdict = nonlocality_verdict(A_DIR, A_PRIME_DIR, [None])
-        assert verdict.rho_min_route is False
-        assert verdict.ci_route is False
-        assert verdict.is_nonlocal is False
+        assert verdicts(chsh_rows(["none"])) == (False, False, False)
 
     def test_ci_route_can_be_disabled(self):
         # at 135 degrees the overlap bound is vacuous, so only the CI
         # route can flag the remote dependence
-        options = [None, Direction.from_degrees(135.0)]
-        with_ci = nonlocality_verdict(A_DIR, A_PRIME_DIR, options)
-        without_ci = nonlocality_verdict(
-            A_DIR, A_PRIME_DIR, options, assume_conditional_independence=False
-        )
-        assert with_ci.rho_min_route is False
-        assert with_ci.ci_route is True
-        assert with_ci.is_nonlocal is True
-        assert without_ci.ci_route is True
-        assert without_ci.is_nonlocal is False
+        options = ["none", "b_prime"]
+        assert verdicts(chsh_rows(options)) == (False, True, True)
+        assert verdicts(chsh_rows(options, assume_ci=False)) == (False, True, False)
 
     def test_verdict_requires_orthogonal_pair(self):
-        with pytest.raises(NotOrthogonalError):
-            nonlocality_verdict(A_DIR, Direction.from_degrees(30.0), [None])
+        with pytest.raises(ValidationError, match="must be orthogonal directions"):
+            chsh_rows(["none"], a_prime_degrees=30.0)

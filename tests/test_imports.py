@@ -35,9 +35,8 @@ COUNTERFACTUAL = {
 
 #: The public names of the package.
 PUBLIC_NAMES = [
-    "BoxClass", "CLASSICAL_BOUND",
-    "CounterfactualReport", "DegenerateSequenceError", "Direction",
-    "DomainError", "EmpiricalEstimate", "NonlocalityVerdict",
+    "BoxClass", "CLASSICAL_BOUND", "DegenerateSequenceError", "Direction",
+    "DomainError", "EmpiricalEstimate",
     "NotOrthogonalError", "NsBox", "ResultRow", "SampleConfig", "Scenario",
     "TSIRELSON_BOUND", "ValidationError", "binary_entropy",
     "builtin_scenarios", "chsh_class", "chsh_e_form", "chsh_s_e", "chsh_s_ns",
@@ -46,8 +45,8 @@ PUBLIC_NAMES = [
     "estimate_pair_correlation", "estimate_shapes_correlation",
     "from_correlators", "from_labeled_dict", "info_leakage",
     "isotropic_parameter", "load_scenario_file", "make_isotropic",
-    "match_probability", "max_info_direction", "nonlocality_verdict",
-    "report_for_option", "rho_ci_ns", "rho_conditional_independence",
+    "match_probability", "max_info_direction",
+    "rho_ci_ns", "rho_conditional_independence",
     "rho_min_ns", "rho_min_quantum", "run", "shapes_rho", "substream",
     "target_probability", "validate_no_signalling", "validate_scenario",
 ]

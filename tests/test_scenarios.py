@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from mucorr import nsbox as nsb
 from mucorr.cli import main
-from mucorr.counterfactual import nonlocality_verdict, report_for_option
 from mucorr.errors import ValidationError
 from mucorr.montecarlo import EmpiricalEstimate, SampleConfig
 from mucorr.scenarios import (
@@ -922,13 +921,14 @@ class TestSweeps:
             "parameter": "theta_degrees", "start": start, "stop": stop, "step": step,
             "a_degrees": a, "a_prime_degrees": a_prime,
         })
-        dir_a, dir_a_prime = Direction.from_degrees(a), Direction.from_degrees(a_prime)
         reference = []
         for theta in grid_points(start, stop, step):
-            report = report_for_option(Direction.from_degrees(theta), dir_a, dir_a_prime)
+            rows = rows_by_quantity(run(Scenario("s", "counterfactual", {
+                "theta_degrees": theta, "a_degrees": a, "a_prime_degrees": a_prime,
+            })))
             reference.append({
                 "scenario": "s", "theta_degrees": theta,
-                "rho_ci": report.rho_ci, "info_bits": report.info_bits,
+                "rho_ci": rows["rho_ci"].analytic, "info_bits": rows["info_bits"].analytic,
             })
         assert len(reference) > 400
         assert self._bits(sweep_records(scenario)) == self._bits(reference)
@@ -968,8 +968,6 @@ class TestRecords:
             ResultRow("s", "q", 1.25), Scenario("a", "chsh"), Direction(1.0), q,
             SampleConfig(), EmpiricalEstimate(0.5, 0.01, 100),
             nsb.ConstraintViolation("normalization", "sum P(.,.|0,0)", 0.1),
-            report_for_option(None, q.a, q.a_prime),
-            nonlocality_verdict(q.a, q.a_prime, [None, q.b]),
         ]
         for record in records:
             assert isinstance(record, tuple)
