@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import references as ref
 from mucorr.counterfactual import (
     _pair,
     binary_entropy,
@@ -22,6 +21,8 @@ from mucorr.errors import (
 from mucorr.montecarlo import estimate_correlation
 from mucorr.scenarios import Scenario, run
 from mucorr.spin import Direction, correlation, match_probability
+
+import references as ref
 
 A_DIR = Direction.from_degrees(0.0)
 A_PRIME_DIR = Direction.from_degrees(90.0)

@@ -122,10 +122,6 @@ def run_json(kind: str, params: dict) -> list[dict]:
     return json.loads(out.getvalue())
 
 
-def bits(value: float) -> str:
-    return value.hex()
-
-
 @settings(max_examples=150, deadline=None)
 @given(DOCUMENTS)
 def test_derived_rows_are_functions_of_printed_rows(document):
@@ -138,7 +134,7 @@ def test_derived_rows_are_functions_of_printed_rows(document):
     )
     for quantity, (value, flags) in expected.items():
         row = printed[quantity]
-        assert (bits(row["analytic"]), row["flags"]) == (bits(value), flags), quantity
+        assert (row["analytic"].hex(), row["flags"]) == (value.hex(), flags), quantity
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,4 +150,4 @@ def test_sweep_columns_are_functions_of_isotropic_p_or_rho_ci(params):
             want = {"isotropic_p": p, **ref.derived_isotropic_point(p)}
         else:
             want = {"theta_degrees": point, "info_bits": ref.info_bits(record["rho_ci"])}
-        assert {k: bits(record[k]) for k in want} == {k: bits(v) for k, v in want.items()}
+        assert {k: record[k].hex() for k in want} == {k: v.hex() for k, v in want.items()}
