@@ -20,12 +20,9 @@ from contract.record import EXPECTED, moved, run_all, run_fresh
 RECORDED = json.loads(EXPECTED.read_text(encoding="utf-8"))
 
 #: Seeded Monte Carlo cases that also run in a fresh `python -m mucorr`
-#: process: `paper-standard` as CSV and as full-precision JSON (every bit of
-#: every estimate, chsh_s's sum of four included), then one CSV case of each
-#: other sampled form.
+#: process. Those of `paper-standard`, CSV and full-precision JSON, run the
+#: same way in `test_golden.py`.
 FRESH_PROCESS = (
-    "run/paper-standard/csv/mc",
-    "run/paper-standard/json/mc",
     "run/paper-pr-box/csv/mc",
     "run/scenarios/pr-box-table.json/csv/mc",
     "document/correlator-box/csv/mc",
