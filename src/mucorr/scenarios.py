@@ -29,7 +29,7 @@ from .counterfactual import (
 )
 from .errors import NotOrthogonalError, ValidationError, _finite_float
 from .montecarlo import EmpiricalEstimate, SampleConfig
-from .spin import CLASSICAL_BOUND, Direction, correlation
+from .spin import Direction, correlation
 
 REMOTE_OPTION_NAMES = ("none", "b", "b_prime")
 SWEEP_PARAMETERS = ("theta_degrees", "isotropic_p")
@@ -51,6 +51,8 @@ _SPIN_CLASS_LABELS = {
     nsb.BoxClass.QUANTUM_REGION: "quantum_violating",
     nsb.BoxClass.SUPER_QUANTUM: "super_quantum",
 }
+#: The regimes above the classical bound, as `nsbox.chsh_class` decides it.
+_CHSH_VIOLATING = (nsb.BoxClass.QUANTUM_REGION, nsb.BoxClass.SUPER_QUANTUM)
 
 
 class _ScenarioFields(NamedTuple):
@@ -498,31 +500,39 @@ def _signed_sum(signs, estimates: list) -> EmpiricalEstimate | None:
 
 
 def _chsh_row(
-    sid: str, s_value: float, est: EmpiricalEstimate | None, label: str,
-    annotation: str | None = None,
+    sid: str, s_value: float, est: EmpiricalEstimate | None, regime: nsb.BoxClass,
+    label: str, annotation: str | None = None,
 ) -> ResultRow:
-    """The chsh_s row, flagged with its class label, chsh_violated above the
-    classical bound, and the annotation if there is one."""
-    violated = "chsh_violated" if s_value > CLASSICAL_BOUND else ""
+    """The chsh_s row, flagged with its class label, chsh_violated if its
+    regime is above the classical bound, and the annotation if there is one."""
+    violated = "chsh_violated" if regime in _CHSH_VIOLATING else ""
     flags = ";".join(filter(None, (f"class={label}", violated, annotation)))
     return _row(sid, "chsh_s", s_value, est, flags)
+
+
+def _floor_row(sid: str, quantity: str, floor: float, tag: str = "") -> tuple[ResultRow, bool]:
+    """A floor's row, flagged with the tag and rho_min_positive if the floor
+    is above 0, and that decision, which its verdict reads."""
+    positive = floor > 0.0
+    flags = ";".join(filter(None, (tag, "rho_min_positive" if positive else "")))
+    return _row(sid, quantity, floor, flags=flags), positive
 
 
 def _report_rows(
     sid: str, floor: float, rho_ci: float, ci_est: EmpiricalEstimate | None,
     suffix: str = "", tag: str = "",
-) -> list[ResultRow]:
-    """The four rows of a counterfactual report, each quantity named with
-    the suffix and flagged with the tag: the floor, the CI correlation, and
-    the bits that the CI correlation leaks, alone and with the measured bit."""
-    positive = "rho_min_positive" if floor > 0.0 else ""
+) -> tuple[list[ResultRow], bool]:
+    """The four rows of a counterfactual report, named with the suffix and
+    flagged with the tag (the floor, the CI correlation, and the bits that it
+    leaks, alone and with the measured bit), and the floor row's decision."""
+    floor_row, positive = _floor_row(sid, f"rho_min{suffix}", floor, tag)
     info = info_leakage(0.5 * (1.0 + rho_ci))
     return [
-        _row(sid, f"rho_min{suffix}", floor, flags=";".join(filter(None, (tag, positive)))),
+        floor_row,
         _row(sid, f"rho_ci{suffix}", rho_ci, ci_est, tag),
         _row(sid, f"info_bits{suffix}", info, flags=tag),
         _row(sid, f"total_bits{suffix}", 1.0 + info, flags=tag),
-    ]
+    ], positive
 
 
 def _verdict_rows(sid: str, pairs) -> list[ResultRow]:
@@ -561,11 +571,11 @@ def _run_chsh(
     e_ab, e_abp, e_apb, e_apbp = correlators
     s_value = abs(e_ab - e_abp + e_apb + e_apbp)
     s_est = _signed_sum([sign for (_, _, _, sign) in pairs], pair_estimates)
-    label = _SPIN_CLASS_LABELS[nsb.chsh_class(s_value)]
-    rows.append(_chsh_row(sid, s_value, s_est, label, annotation))
+    regime = nsb.chsh_class(s_value)
+    rows.append(_chsh_row(sid, s_value, s_est, regime, _SPIN_CLASS_LABELS[regime], annotation))
 
-    floors, cis = [], []
-    for position, name in enumerate(option_names):
+    positives, cis = [], []
+    for stream, name in enumerate(option_names, _OPTION_STREAM_BASE):
         theta = {"none": None, "b": b, "b_prime": b_prime}[name]
         ci_est = None
         if theta is None:  # no remote measurement: no correlation, by assumption
@@ -574,19 +584,17 @@ def _run_chsh(
             tag = f"theta={_fmt_angle(theta.degrees)}"
             floor, rho_ci = _spin_pair(theta, a, a_prime)
             if cfg is not None:
-                ci_est = mc.estimate_ci_correlation(
-                    theta, a, a_prime, cfg, _OPTION_STREAM_BASE + position
-                )
-        floors.append(floor)
+                ci_est = mc.estimate_ci_correlation(theta, a, a_prime, cfg, stream)
+        report, positive = _report_rows(sid, floor, rho_ci, ci_est, f"[remote={name}]", tag)
+        rows.extend(report)
+        positives.append(positive)
         cis.append(rho_ci)
-        rows.extend(_report_rows(sid, floor, rho_ci, ci_est, f"[remote={name}]", tag))
 
     best_theta, best_bits = max_info_direction(a, a_prime)
     rows.append(_row(sid, "max_info_theta_degrees", best_theta.degrees))
     rows.append(_row(sid, "max_info_bits", best_bits))
-    # Each verdict reads the values of the rho_min and rho_ci rows above:
-    # route (i) is assumption-free, route (ii) counts only under CI.
-    rho_min_route = any(floor > 0.0 for floor in floors)
+    # Route (i) reads the rho_min rows' decisions, route (ii) (only under CI) the rho_ci rows.
+    rho_min_route = any(positives)
     ci_route = max(cis) - min(cis) > CI_DIFFERENCE_TOL
     rows.extend(_verdict_rows(sid, (
         ("verdict_rho_min_route", rho_min_route),
@@ -599,18 +607,13 @@ def _run_chsh(
 def _run_counterfactual(
     sid: str, cfg: SampleConfig | None, theta: Direction, a: Direction, a_prime: Direction,
 ) -> list[ResultRow]:
-    ci_est = None
-    if cfg is not None:
-        ci_est = mc.estimate_ci_correlation(theta, a, a_prime, cfg, 0)
-    return _report_rows(sid, *_spin_pair(theta, a, a_prime), ci_est)
+    ci_est = None if cfg is None else mc.estimate_ci_correlation(theta, a, a_prime, cfg, 0)
+    return _report_rows(sid, *_spin_pair(theta, a, a_prime), ci_est)[0]
 
 
 def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[ResultRow]:
-    rows: list[ResultRow] = []
-
     p_iso = nsb.isotropic_parameter(box)
-    if p_iso is not None:
-        rows.append(_row(sid, "isotropic_p", p_iso))
+    rows = [] if p_iso is None else [_row(sid, "isotropic_p", p_iso)]
 
     input_pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     rate_ests = corr_ests = [None] * 4
@@ -627,24 +630,20 @@ def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[Resul
 
     parity_est = _signed_sum((1.0, 1.0, 1.0, 1.0), rate_ests)
     rows.append(_row(sid, "chsh_s_parity", nsb.chsh_s_ns(box), parity_est))
-    # Each verdict below reads the values of the rows that show it.
-    s_value = nsb.chsh_s_e(box)
+    # Each verdict below reads the decision or the values of the rows that show it.
+    regime = nsb.classify_box(box)
     s_est = _signed_sum((1.0, 1.0, 1.0, -1.0), corr_ests)
-    rows.append(_chsh_row(sid, s_value, s_est, nsb.classify_box(box).value))
+    rows.append(_chsh_row(sid, nsb.chsh_s_e(box), s_est, regime, regime.value))
 
     floors, products = zip(*(nsb._target_pair(box, b_setting) for b_setting in (0, 1)))
-    for b_setting, value in enumerate(floors):
-        rows.append(_row(
-            sid, f"rho_min[b={b_setting}]", value,
-            flags="rho_min_positive" if value > 0.0 else "",
-        ))
-    for b_setting, value in enumerate(products):
-        rows.append(_row(sid, f"ci_product[b={b_setting}]", value))
+    floor_rows = [_floor_row(sid, f"rho_min[b={k}]", floor) for k, floor in enumerate(floors)]
+    rows.extend(row for row, _ in floor_rows)
+    rows.extend(_row(sid, f"ci_product[b={k}]", product) for k, product in enumerate(products))
     if p_iso is not None:
         rows.append(_row(sid, "rho_ci", nsb.rho_ci_ns(p_iso)))
     rows.extend(_verdict_rows(sid, (
-        ("verdict_chsh_violated", s_value > CLASSICAL_BOUND),
-        ("verdict_rho_min_positive", any(value > 0.0 for value in floors)),
+        ("verdict_chsh_violated", regime in _CHSH_VIOLATING),
+        ("verdict_rho_min_positive", any(positive for _, positive in floor_rows)),
         ("verdict_ci_rho_positive", any(value > 0.0 for value in products)),
     )))
     return rows

@@ -13,7 +13,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mucorr.cli import main
@@ -124,6 +124,11 @@ def run_json(kind: str, params: dict) -> list[dict]:
 
 @settings(max_examples=150, deadline=None)
 @given(DOCUMENTS)
+# On both thresholds: chsh_s prints 2.0, and rho_min[remote=b] and
+# rho_min[remote=b_prime] print 0.0, so neither is flagged.
+@example(("chsh", {
+    "a_degrees": 0.0, "a_prime_degrees": 90.0, "b_degrees": 0.0, "b_prime_degrees": 90.0,
+}))
 def test_derived_rows_are_functions_of_printed_rows(document):
     kind, params = document
     records = run_json(kind, params)

@@ -1,7 +1,8 @@
 """The package never imports numpy, the CLI starts without `dataclasses`
 or `inspect`, and the public names are those listed here and in README.
 
-A scan of the sources finds no numpy import. Each call check runs in a
+A scan of the sources finds no numpy import, and another finds the CHSH
+bounds compared in `nsbox.chsh_class` alone. Each call check runs in a
 fresh interpreter, since a module once imported stays in `sys.modules`:
 no path of the CLI loads numpy, Monte Carlo included.
 """
@@ -65,6 +66,32 @@ def imports_numpy(path: Path) -> bool:
         if any(name.split(".")[0] == "numpy" for name in names):
             return True
     return False
+
+
+#: The constants that only `nsbox.chsh_class` compares a value with.
+CHSH_BOUNDS = {"CLASSICAL_BOUND", "TSIRELSON_BOUND"}
+
+
+def bound_comparisons(path: Path) -> list[str]:
+    """The name of the function around each comparison in a module that reads
+    one of CHSH_BOUNDS, by name or as an attribute; `<module>` for one outside
+    any function."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Compare) and any(
+                getattr(name, "id", getattr(name, "attr", None)) in CHSH_BOUNDS
+                for name in ast.walk(child)
+            ):
+                found.append(where)
+            else:
+                visit(child, where)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
 
 
 def modules_loaded_by(*argv: str) -> set[str]:
@@ -154,6 +181,25 @@ def test_no_module_imports_numpy(tmp_path):
                    "if TYPE_CHECKING:\n    from numpy.random import Generator\n"):
         probe.write_text(source)
         assert imports_numpy(probe)
+
+
+def test_only_chsh_class_compares_with_the_chsh_bounds(tmp_path):
+    # Every flag, class and verdict above the classical bound reads the
+    # regime that chsh_class decides.
+    sites = {
+        (path.name, where)
+        for path in SRC.glob("mucorr/*.py") for where in bound_comparisons(path)
+    }
+    assert sites == {("nsbox.py", "chsh_class")}
+    # The scan finds the comparisons that the package once had.
+    probe = tmp_path / "probe.py"
+    for source, where in (
+        ("def _chsh_row(s):\n    return 'chsh_violated' if s > CLASSICAL_BOUND else ''\n",
+         "_chsh_row"),
+        ("violated = [s > spin.TSIRELSON_BOUND for s in values]\n", "<module>"),
+    ):
+        probe.write_text(source)
+        assert bound_comparisons(probe) == [where]
 
 
 def test_public_names_are_unchanged():

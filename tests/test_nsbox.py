@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mucorr.errors import DomainError, ValidationError
@@ -452,6 +452,9 @@ class TestClassification:
         assert verdict(nsbox_rows({"isotropic_p": 0.9}), "verdict_chsh_violated")
 
     @given(correlator_values, correlator_values, correlator_values, correlator_values)
+    # On both thresholds: chsh_s 2.0 and both rho_min[b=k] 0.0, neither flagged;
+    # both ci_product 0.25.
+    @example(0.5, 0.5, 0.5, -0.5)
     def test_flags_match_their_definitions(self, e00, e01, e10, e11):
         box = from_correlators(e00, e01, e10, e11)
         rows = nsbox_rows({"correlators": [e00, e01, e10, e11]})
