@@ -22,11 +22,6 @@ from .errors import (
 from .montecarlo import (
     EmpiricalEstimate,
     SampleConfig,
-    estimate_ci_correlation,
-    estimate_coin_correlation,
-    estimate_ns_pair,
-    estimate_pair_correlation,
-    estimate_shapes_correlation,
     shapes_rho,
     substream,
 )
@@ -65,7 +60,7 @@ from .spin import (
     match_probability,
 )
 
-__version__ = "0.4.4"
+__version__ = "0.4.5"
 
 # Every public name imported above, and nothing else.
 __all__ = sorted(

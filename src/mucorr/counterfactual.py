@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NotOrthogonalError
+from .montecarlo import match_table
 from .spin import Direction, correlation, match_probability
 
 ORTHOGONALITY_TOL = 1e-12
@@ -45,6 +46,15 @@ def _spin_pair(theta: Direction, a: Direction, a_prime: Direction) -> tuple[floa
         match_probability(theta, a), match_probability(theta, a_prime),
         correlation(theta, a), correlation(theta, a_prime),
     )
+
+
+def _ci_table(theta: Direction, a: Direction, a_prime: Direction) -> list[float]:
+    """The 2x2 table of the pair a, a' under conditional independence: two
+    copies of a fair source aligned with theta, at the match rates p1, p2 that
+    :func:`_spin_pair` reads, agree at p1 p2 + (1 - p1)(1 - p2)."""
+    p1 = match_probability(theta, a)
+    p2 = match_probability(theta, a_prime)
+    return match_table(p1 * p2 + (1.0 - p1) * (1.0 - p2))
 
 
 def rho_min_quantum(theta: Direction, a: Direction, a_prime: Direction) -> float:

@@ -3,7 +3,8 @@
 Every sampled quantity is a pair of two-valued outcomes whose 2x2 joint
 table is known exactly, so a run of n samples is fully described by the
 four cell counts: one multinomial draw gives them in O(1) expected time
-and memory, and the estimators are closed forms of the counts.
+and memory, and the estimators are closed forms of the counts. Callers
+build the tables: this module knows no physical model.
 
 A run is identified by (seed, stream index): each quantity draws from its
 own MT19937 stream, `random.Random(seed << 64 | index)`, which Python keeps
@@ -16,13 +17,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DegenerateSequenceError, DomainError
-from .spin import Direction, match_probability
-
-if TYPE_CHECKING:
-    from .nsbox import NsBox
 
 #: The largest sample count; the sampler's error is tested up to it.
 MAX_SAMPLES = 2**63 - 1
@@ -199,13 +196,16 @@ def estimate_event_rate(hits: int, n: int) -> EmpiricalEstimate:
     return EmpiricalEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
-def _match_table(p_match: float) -> list[float]:
-    """Two fair +/-1 outcomes that agree with probability p_match."""
+def match_table(p_match: float) -> list[float]:
+    """The 2x2 table of two fair +/-1 outcomes that agree with probability
+    p_match, (1 + E) / 2 for their correlation E."""
     return [p_match / 2.0, (1.0 - p_match) / 2.0, (1.0 - p_match) / 2.0, p_match / 2.0]
 
 
 def shapes_rho(red_given_cube: float = 0.75, blue_given_sphere: float = 0.75) -> float:
-    """Analytic shape/color correlation for :func:`estimate_shapes_correlation`."""
+    """Analytic shape/color correlation: shape is a fair coin, and color
+    follows it at the two conditional rates, as in the table
+    [rc / 2, (1 - rc) / 2, (1 - bs) / 2, bs / 2]."""
     cov = red_given_cube + blue_given_sphere - 1.0
     mean_color = red_given_cube - blue_given_sphere
     sd_color = math.sqrt(1.0 - mean_color * mean_color)
@@ -214,77 +214,21 @@ def shapes_rho(red_given_cube: float = 0.75, blue_given_sphere: float = 0.75) ->
     return cov / sd_color
 
 
-def estimate_pair_correlation(
-    alpha: Direction, beta: Direction, cfg: SampleConfig, stream_index: int = 0
-) -> EmpiricalEstimate:
-    """Spin outcomes along two directions: fair marginals that agree with
-    probability (1 + cos(alpha - beta)) / 2, correlation cos(alpha - beta)."""
-    table = _match_table(match_probability(alpha, beta))
+def estimate_table(table, cfg: SampleConfig, stream_index: int = 0) -> EmpiricalEstimate:
+    """Phi of cfg.n_samples draws from the cells (p00, p01, p10, p11) of a
+    2x2 table, from substream `stream_index`."""
     return estimate_correlation(sample_counts(table, cfg, stream_index))
 
 
-def estimate_ci_correlation(
-    theta: Direction,
-    a: Direction,
-    a_prime: Direction,
-    cfg: SampleConfig,
-    stream_index: int = 0,
-) -> EmpiricalEstimate:
-    """Measured and unmeasured outcomes under conditional independence.
-
-    Both outcomes copy a shared fair source aligned with theta, each with
-    its own match rate p1, p2, and are otherwise independent. They then
-    agree with probability p1 p2 + (1 - p1)(1 - p2), so their correlation
-    is the product cos(theta - a) * cos(theta - a_prime).
-    """
-    p1 = match_probability(theta, a)
-    p2 = match_probability(theta, a_prime)
-    table = _match_table(p1 * p2 + (1.0 - p1) * (1.0 - p2))
-    return estimate_correlation(sample_counts(table, cfg, stream_index))
-
-
-def estimate_coin_correlation(
-    cfg: SampleConfig, stream_index: int = 0
-) -> EmpiricalEstimate:
-    """Fair coin tosses against the counterfactual re-toss of the same coins.
-
-    Nothing ties a toss to its alternative, so the two are independent
-    fair outcomes and the correlation is 0.
-    """
-    return estimate_correlation(sample_counts(_match_table(0.5), cfg, stream_index))
-
-
-def estimate_shapes_correlation(
-    cfg: SampleConfig,
-    stream_index: int = 0,
-    red_given_cube: float = 0.75,
-    blue_given_sphere: float = 0.75,
-) -> EmpiricalEstimate:
-    """Object drawn from a box: shape is observed, color is not.
-
-    Shape (cube, sphere) is a fair coin; color (red, blue) depends on
-    shape through the two conditional rates.
-    """
-    table = [
-        red_given_cube / 2.0, (1.0 - red_given_cube) / 2.0,
-        (1.0 - blue_given_sphere) / 2.0, blue_given_sphere / 2.0,
-    ]
-    return estimate_correlation(sample_counts(table, cfg, stream_index))
-
-
-def estimate_ns_pair(
-    box: NsBox, a_in: int, b_in: int, cfg: SampleConfig, stream_index: int = 0
+def estimate_parity_rate(
+    table, cfg: SampleConfig, stream_index: int = 0, parity: int = 0
 ) -> tuple[EmpiricalEstimate, EmpiricalEstimate]:
-    """(target rate, correlator) estimates from one shared sample.
-
-    The target rate is P(A xor B = ab); the correlator estimate is its
-    linear image 2 * P(A = B) - 1.
-    """
-    table = [box.prob(A, B, a_in, b_in) for A in (0, 1) for B in (0, 1)]
+    """(rate, correlator) estimates from one draw of a 2x2 table's cell
+    counts: the rate of A xor B = parity, and 2 * P(A = B) - 1."""
     n00, n01, n10, n11 = sample_counts(table, cfg, stream_index)
     n = cfg.n_samples
     same = estimate_event_rate(n00 + n11, n)
-    rate = same if a_in * b_in == 0 else estimate_event_rate(n01 + n10, n)
+    rate = same if parity == 0 else estimate_event_rate(n01 + n10, n)
     correlator = EmpiricalEstimate(
         2.0 * same.value - 1.0, 2.0 * same.std_error, n
     )

@@ -6,8 +6,9 @@ counterfactual triple, a no-signalling box, a classical example, or a
 parameter sweep. Running one yields flat result rows that the CLI can
 render as a table, CSV, or JSON.
 
-Monte Carlo estimates, when requested, draw from per-row substreams of
-the configured seed, so every row is reproducible independently of which
+Monte Carlo estimates, when requested, sample the 2x2 table that each
+runner builds beside the analytic value, from per-row substreams of the
+configured seed, so every row is reproducible independently of which
 other rows exist.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import montecarlo as mc
 from . import nsbox as nsb
 from .counterfactual import (
     CI_DIFFERENCE_TOL,
+    _ci_table,
     _require_orthogonal,
     _spin_pair,
     info_leakage,
@@ -485,6 +487,17 @@ def _row(
     return ResultRow(sid, quantity, analytic, est.value, est.std_error, flags)
 
 
+def _estimate(cfg: SampleConfig | None, stream: int, table, parity: int | None = None):
+    """The Monte Carlo estimate of a row from the 2x2 table that its runner
+    builds, drawn from the substream: `mc.estimate_table`'s, or with a parity
+    `mc.estimate_parity_rate`'s pair. None, or (None, None), without Monte Carlo."""
+    if cfg is None:
+        return None if parity is None else (None, None)
+    if parity is None:
+        return mc.estimate_table(table, cfg, stream)
+    return mc.estimate_parity_rate(table, cfg, stream, parity)
+
+
 def _signed_sum(signs, estimates: list) -> EmpiricalEstimate | None:
     """|sum of sign * value| of independent estimates, with the standard
     error sqrt(sum of se^2), both summed exactly (the built-in sum() rounds
@@ -556,13 +569,11 @@ def _run_chsh(
         (f"E(a={_fmt_angle(ap_deg)},b={_fmt_angle(b_deg)})", a_prime, b, 1.0),
         (f"E(a={_fmt_angle(ap_deg)},b={_fmt_angle(bp_deg)})", a_prime, b_prime, 1.0),
     ]
-    pair_estimates = [None] * 4
-    if cfg is not None:
-        pair_estimates = [
-            mc.estimate_pair_correlation(alpha, beta, cfg, stream)
-            for stream, (_, alpha, beta, _) in zip(_PAIR_STREAMS, pairs)
-        ]
     correlators = [correlation(alpha, beta) for _, alpha, beta, _ in pairs]
+    pair_estimates = [
+        _estimate(cfg, stream, mc.match_table(0.5 * (1.0 + e)))
+        for stream, e in zip(_PAIR_STREAMS, correlators)
+    ]
     rows = [
         _row(sid, name, e, est)
         for (name, *_), e, est in zip(pairs, correlators, pair_estimates)
@@ -583,8 +594,7 @@ def _run_chsh(
         else:
             tag = f"theta={_fmt_angle(theta.degrees)}"
             floor, rho_ci = _spin_pair(theta, a, a_prime)
-            if cfg is not None:
-                ci_est = mc.estimate_ci_correlation(theta, a, a_prime, cfg, stream)
+            ci_est = _estimate(cfg, stream, _ci_table(theta, a, a_prime))
         report, positive = _report_rows(sid, floor, rho_ci, ci_est, f"[remote={name}]", tag)
         rows.extend(report)
         positives.append(positive)
@@ -607,7 +617,7 @@ def _run_chsh(
 def _run_counterfactual(
     sid: str, cfg: SampleConfig | None, theta: Direction, a: Direction, a_prime: Direction,
 ) -> list[ResultRow]:
-    ci_est = None if cfg is None else mc.estimate_ci_correlation(theta, a, a_prime, cfg, 0)
+    ci_est = _estimate(cfg, 0, _ci_table(theta, a, a_prime))
     return _report_rows(sid, *_spin_pair(theta, a, a_prime), ci_est)[0]
 
 
@@ -616,12 +626,12 @@ def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[Resul
     rows = [] if p_iso is None else [_row(sid, "isotropic_p", p_iso)]
 
     input_pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    rate_ests = corr_ests = [None] * 4
-    if cfg is not None:
-        rate_ests, corr_ests = zip(*[
-            mc.estimate_ns_pair(box, a_in, b_in, cfg, stream)
-            for stream, (a_in, b_in) in zip(_PAIR_STREAMS, input_pairs)
-        ])
+    # Each input pair's 2x2 table of outputs, with the target parity ab.
+    rate_ests, corr_ests = zip(*[
+        _estimate(cfg, stream, [box.prob(A, B, a_in, b_in) for A in (0, 1) for B in (0, 1)],
+                  a_in * b_in)
+        for stream, (a_in, b_in) in zip(_PAIR_STREAMS, input_pairs)
+    ])
     for (a_in, b_in), est in zip(input_pairs, rate_ests):
         rate = nsb.target_probability(box, a_in, b_in)
         rows.append(_row(sid, f"target_rate(a={a_in},b={b_in})", rate, est))
@@ -653,11 +663,10 @@ def _run_classical(
     sid: str, cfg: SampleConfig | None, rc: float | None, bs: float | None,
 ) -> list[ResultRow]:
     """The coin's row if rc and bs are None, else the shapes' row."""
-    if rc is None:
-        est = mc.estimate_coin_correlation(cfg, 0) if cfg is not None else None
-        return [_row(sid, "rho", 0.0, est)]
-    est = mc.estimate_shapes_correlation(cfg, 0, rc, bs) if cfg is not None else None
-    return [_row(sid, "rho", mc.shapes_rho(rc, bs), est)]
+    if rc is None:  # a toss and its re-toss: independent fair outcomes
+        return [_row(sid, "rho", 0.0, _estimate(cfg, 0, mc.match_table(0.5)))]
+    table = [rc / 2.0, (1.0 - rc) / 2.0, (1.0 - bs) / 2.0, bs / 2.0]
+    return [_row(sid, "rho", mc.shapes_rho(rc, bs), _estimate(cfg, 0, table))]
 
 
 def _run_sweep(

@@ -1,5 +1,5 @@
 """Views that the tests build from the public API: the flat wire format of
-a box, the settings quad of a built-in CHSH scenario, the CHSH value and
+a box, the 2x2 tables that the runners sample, the settings quad of a built-in CHSH scenario, the CHSH value and
 class label of a quad, a run's chsh_s row, and a sweep's rows as records.
 Then, written without mucorr: each derived row recomputed from the rows a
 run prints, and the former forms of the measured/unmeasured floor and CI
@@ -18,6 +18,18 @@ def to_labeled_dict(box) -> dict[str, float]:
         f"P({A},{B}|{a},{b})": box.prob(A, B, a, b)
         for a, b, A, B in itertools.product((0, 1), repeat=4)
     }
+
+
+def box_pair_table(box, a_in: int, b_in: int) -> list[float]:
+    """The 2x2 table of outputs (A, B) of one input pair, as an nsbox run samples it."""
+    return [box.prob(A, B, a_in, b_in) for A in (0, 1) for B in (0, 1)]
+
+
+def shapes_table(red_given_cube: float = 0.75, blue_given_sphere: float = 0.75) -> list[float]:
+    """The 2x2 table of shape (cube, sphere) and color (red, blue), as a
+    shapes run samples it."""
+    rc, bs = red_given_cube, blue_given_sphere
+    return [rc / 2.0, (1.0 - rc) / 2.0, (1.0 - bs) / 2.0, bs / 2.0]
 
 
 class Quad(NamedTuple):

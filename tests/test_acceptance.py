@@ -17,12 +17,8 @@ from mucorr import (
     chsh_e_form,
     chsh_s_e,
     chsh_s_ns,
-    estimate_ci_correlation,
-    estimate_coin_correlation,
-    estimate_ns_pair,
-    estimate_pair_correlation,
-    estimate_shapes_correlation,
     make_isotropic,
+    match_probability,
     max_info_direction,
     rho_ci_ns,
     rho_conditional_independence,
@@ -31,10 +27,12 @@ from mucorr import (
     shapes_rho,
     validate_no_signalling,
 )
+from mucorr.counterfactual import _ci_table
+from mucorr.montecarlo import estimate_parity_rate, estimate_table, match_table
 from mucorr.nsbox import NsBox
 from mucorr.scenarios import Scenario, builtin_scenarios, run
 
-from references import chsh_s_row, sweep_records
+from references import box_pair_table, chsh_s_row, shapes_table, sweep_records
 
 A = Direction.from_degrees(0.0)
 A_PRIME = Direction.from_degrees(90.0)
@@ -160,9 +158,9 @@ def test_criterion_07_classical_examples(report):
     coin_hits = shapes_hits = 0
     for seed in range(100):
         cfg = SampleConfig(n_samples=10_000, seed=seed)
-        if estimate_coin_correlation(cfg).within_band(0.0):
+        if estimate_table(match_table(0.5), cfg).within_band(0.0):
             coin_hits += 1
-        if estimate_shapes_correlation(cfg).within_band(0.5):
+        if estimate_table(shapes_table(), cfg).within_band(0.5):
             shapes_hits += 1
     ok = (
         shapes_exact == 0.5
@@ -239,23 +237,25 @@ def test_criterion_11_sampler_oracle(report):
     box = make_isotropic(0.8)
     remote_10 = Direction.from_degrees(10.0)
 
+    def table_estimator(table):
+        return lambda cfg: estimate_table(table, cfg)
+
     def pair_at(degrees):
         other = Direction.from_degrees(degrees)
         return (f"pair{degrees:g}", math.cos(math.radians(degrees)),
-                lambda cfg: estimate_pair_correlation(A, other, cfg))
+                table_estimator(match_table(match_probability(A, other))))
 
     # Angles near 0, 90 and 180 degrees and asymmetric shapes rates, where
     # a standard error that ignores the outcome geometry misses the band.
     samplers = [pair_at(d) for d in (45.0, 5.0, 10.0, 80.0, 135.0, 170.0)] + [
         ("ci", rho_conditional_independence(B, A, A_PRIME),
-         lambda cfg: estimate_ci_correlation(B, A, A_PRIME, cfg)),
+         table_estimator(_ci_table(B, A, A_PRIME))),
         ("ci10", rho_conditional_independence(remote_10, A, A_PRIME),
-         lambda cfg: estimate_ci_correlation(remote_10, A, A_PRIME, cfg)),
-        ("coin", 0.0, estimate_coin_correlation),
-        ("shapes", 0.5, estimate_shapes_correlation),
-        ("shapes.9/.6", shapes_rho(0.9, 0.6),
-         lambda cfg: estimate_shapes_correlation(cfg, 0, 0.9, 0.6)),
-        ("nsbox", 0.8, lambda cfg: estimate_ns_pair(box, 1, 1, cfg)[0]),
+         table_estimator(_ci_table(remote_10, A, A_PRIME))),
+        ("coin", 0.0, table_estimator(match_table(0.5))),
+        ("shapes", 0.5, table_estimator(shapes_table())),
+        ("shapes.9/.6", shapes_rho(0.9, 0.6), table_estimator(shapes_table(0.9, 0.6))),
+        ("nsbox", 0.8, lambda cfg: estimate_parity_rate(box_pair_table(box, 1, 1), cfg, 0, 1)[0]),
     ]
     counts = {}
     for name, target, estimator in samplers:
@@ -268,11 +268,12 @@ def test_criterion_11_sampler_oracle(report):
     deterministic = all(
         estimator(cfg) == estimator(cfg) for _, _, estimator in samplers
     )
+    pair_table = match_table(match_probability(A, B))
     start = time.perf_counter()
-    estimate_pair_correlation(A, B, SampleConfig(n_samples=1_000_000, seed=123))
+    estimate_table(pair_table, SampleConfig(n_samples=1_000_000, seed=123))
     elapsed = time.perf_counter() - start
     start = time.perf_counter()
-    huge = estimate_pair_correlation(A, B, SampleConfig(n_samples=10**12, seed=123))
+    huge = estimate_table(pair_table, SampleConfig(n_samples=10**12, seed=123))
     huge_elapsed = time.perf_counter() - start
     ok = (
         all(hits >= 99 for hits in counts.values())

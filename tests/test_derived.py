@@ -109,15 +109,16 @@ def sweep_parameters(draw):
     return {**params, "start": start, "stop": stop, "step": step}
 
 
-def run_json(kind: str, params: dict) -> list[dict]:
-    """The records that `mucorr run FILE --format json` prints for the document."""
+def run_json(kind: str, params: dict, *options: str) -> list[dict]:
+    """The records that `mucorr run FILE --format json [options]` prints for
+    the document."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "doc.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"id": "d", "kind": kind, "parameters": params}, handle)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["run", path, "--format", "json"])
+            code = main(["run", path, "--format", "json", *options])
     assert code == 0, params
     return json.loads(out.getvalue())
 

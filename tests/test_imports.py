@@ -1,8 +1,9 @@
 """The package never imports numpy, the CLI starts without `dataclasses`
 or `inspect`, and the public names are those listed here and in README.
 
-A scan of the sources finds no numpy import, and another finds the CHSH
-bounds compared in `nsbox.chsh_class` alone. Each call check runs in a
+A scan of the sources finds no numpy import, another finds the CHSH
+bounds compared in `nsbox.chsh_class` alone, and a third finds `montecarlo`
+importing nothing from the package but `errors`. Each call check runs in a
 fresh interpreter, since a module once imported stays in `sys.modules`:
 no path of the CLI loads numpy, Monte Carlo included.
 """
@@ -42,8 +43,6 @@ PUBLIC_NAMES = [
     "TSIRELSON_BOUND", "ValidationError", "binary_entropy",
     "builtin_scenarios", "chsh_class", "chsh_e_form", "chsh_s_e", "chsh_s_ns",
     "ci_product", "classify_box", "correlation", "correlator",
-    "estimate_ci_correlation", "estimate_coin_correlation", "estimate_ns_pair",
-    "estimate_pair_correlation", "estimate_shapes_correlation",
     "from_correlators", "from_labeled_dict", "info_leakage",
     "isotropic_parameter", "load_scenario_file", "make_isotropic",
     "match_probability", "max_info_direction",
@@ -66,6 +65,21 @@ def imports_numpy(path: Path) -> bool:
         if any(name.split(".")[0] == "numpy" for name in names):
             return True
     return False
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that a module imports by a relative import (or
+    as `mucorr.x`) anywhere, a function body or an `if TYPE_CHECKING:`
+    block included: `from .x import y` gives x, `from . import x` gives x."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mucorr."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("mucorr.")}
+    return found
 
 
 #: The constants that only `nsbox.chsh_class` compares a value with.
@@ -181,6 +195,21 @@ def test_no_module_imports_numpy(tmp_path):
                    "if TYPE_CHECKING:\n    from numpy.random import Generator\n"):
         probe.write_text(source)
         assert imports_numpy(probe)
+
+
+def test_montecarlo_imports_only_errors_from_the_package(tmp_path):
+    # The sampler takes 2x2 tables; the runners build them from their models.
+    assert package_imports(SRC / "mucorr" / "montecarlo.py") == {"errors"}
+    # The scan finds the imports that the module once had.
+    probe = tmp_path / "probe.py"
+    for source, module in (
+        ("from .spin import Direction, match_probability\n", "spin"),
+        ("if TYPE_CHECKING:\n    from .nsbox import NsBox\n", "nsbox"),
+        ("from . import nsbox as nsb\n", "nsbox"),
+        ("import mucorr.spin\n", "spin"),
+    ):
+        probe.write_text(source)
+        assert package_imports(probe) == {module}
 
 
 def test_only_chsh_class_compares_with_the_chsh_bounds(tmp_path):

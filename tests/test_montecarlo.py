@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mucorr.counterfactual import _ci_table
 from mucorr.errors import DegenerateSequenceError, DomainError
 from mucorr.montecarlo import (
     MAX_SAMPLES,
@@ -11,20 +14,20 @@ from mucorr.montecarlo import (
     SampleConfig,
     _binomial,
     _log_pmf_ratio,
-    _match_table,
-    estimate_ci_correlation,
-    estimate_coin_correlation,
     estimate_correlation,
     estimate_event_rate,
-    estimate_ns_pair,
-    estimate_pair_correlation,
-    estimate_shapes_correlation,
+    estimate_parity_rate,
+    estimate_table,
+    match_table,
     sample_counts,
     shapes_rho,
     substream,
 )
 from mucorr.nsbox import NsBox, make_isotropic
 from mucorr.spin import Direction, correlation, match_probability
+
+from references import box_pair_table, shapes_table
+from test_derived import CLASSICAL_PARAMETERS, chsh_parameters, run_json
 
 A0 = Direction.from_degrees(0.0)
 A90 = Direction.from_degrees(90.0)
@@ -90,8 +93,9 @@ class TestStreams:
         assert eight_draws(1, 0) != eight_draws(2, 0)
 
     def test_estimates_are_deterministic(self):
-        e1 = estimate_pair_correlation(A0, B45, CFG, 2)
-        e2 = estimate_pair_correlation(A0, B45, CFG, 2)
+        table = match_table(match_probability(A0, B45))
+        e1 = estimate_table(table, CFG, 2)
+        e2 = estimate_table(table, CFG, 2)
         assert e1 == e2  # bit-exact, not approximate
 
     def test_counts_are_one_multinomial_draw_of_the_substream(self):
@@ -109,7 +113,7 @@ class TestStreams:
 class TestSamplers:
     def test_signs_are_pm1_and_fair(self):
         n = 100_000
-        counts = sample_counts(_match_table(0.5), SampleConfig(n, seed=0))
+        counts = sample_counts(match_table(0.5), SampleConfig(n, seed=0))
         assert len(counts) == 4 and sum(counts) == n
         assert all(isinstance(c, int) and c >= 0 for c in counts)
         n00, n01, n10, n11 = counts
@@ -118,54 +122,54 @@ class TestSamplers:
 
     def test_pair_marginals_are_fair(self):
         n = 100_000
-        table = _match_table(match_probability(A0, B45))
+        table = match_table(match_probability(A0, B45))
         n00, n01, n10, n11 = sample_counts(table, SampleConfig(n, seed=3))
         bound = 4.0 / math.sqrt(n)
         assert abs(2 * (n00 + n01) / n - 1.0) < bound
         assert abs(2 * (n00 + n10) / n - 1.0) < bound
 
     def test_pair_correlation_matches_analytic(self):
-        est = estimate_pair_correlation(A0, D30, CFG)
+        est = estimate_table(match_table(match_probability(A0, D30)), CFG)
         assert est.within_band(correlation(A0, D30))
 
     def test_ci_sampler_matches_product(self):
-        est = estimate_ci_correlation(B45, A0, A90, CFG)
+        est = estimate_table(_ci_table(B45, A0, A90), CFG)
         assert est.within_band(0.5)
 
     def test_coin_uncorrelated(self):
-        est = estimate_coin_correlation(CFG)
+        est = estimate_table(match_table(0.5), CFG)
         assert est.within_band(0.0)
 
     def test_shapes_default(self):
-        est = estimate_shapes_correlation(CFG)
+        est = estimate_table(shapes_table(), CFG)
         assert est.within_band(0.5)
 
     def test_shapes_asymmetric_rates(self):
         expected = shapes_rho(0.9, 0.6)
         assert expected == pytest.approx(0.5 / math.sqrt(1.0 - 0.09), abs=1e-12)
-        est = estimate_shapes_correlation(CFG, 0, 0.9, 0.6)
+        est = estimate_table(shapes_table(0.9, 0.6), CFG, 0)
         assert est.within_band(expected)
 
     def test_shapes_rate_domain(self):
         with pytest.raises(DomainError):
-            estimate_shapes_correlation(CFG, 0, red_given_cube=1.3)
+            estimate_table(shapes_table(red_given_cube=1.3), CFG, 0)
         with pytest.raises(DomainError):
             shapes_rho(1.0, 0.0)  # deterministic color
 
     def test_nsbox_sampler_rates(self):
-        rate, corr = estimate_ns_pair(make_isotropic(0.8), 1, 1, CFG)
+        rate, corr = estimate_parity_rate(box_pair_table(make_isotropic(0.8), 1, 1), CFG, 0, 1)
         assert rate.within_band(0.8)
         assert corr.within_band(-0.6)  # E11 = 1 - 2p
 
     def test_nsbox_sampler_rejects_bad_tables(self):
         bad = np.full((2, 2, 2, 2), 0.3)  # normalization broken
         with pytest.raises(DomainError):
-            estimate_ns_pair(NsBox(bad), 0, 0, CFG)
+            estimate_parity_rate(box_pair_table(NsBox(bad), 0, 0), CFG, 0, 0)
         negative = np.full((2, 2, 2, 2), 0.25)
         negative[0, 0, 0, 0] = -0.25
         negative[1, 1, 0, 0] = 0.75
         with pytest.raises(DomainError):
-            estimate_ns_pair(NsBox(negative), 0, 0, CFG)
+            estimate_parity_rate(box_pair_table(NsBox(negative), 0, 0), CFG, 0, 0)
         with pytest.raises(DomainError):
             sample_counts([0.25, 0.25, 0.25, float("nan")], CFG)
 
@@ -251,6 +255,7 @@ class TestBinomial:
     def test_standardized_error_has_unit_variance_up_to_the_cap(self):
         draws, seeds = 40_000, 4_000
         target = math.cos(math.radians(45.0))
+        table = match_table(match_probability(A0, B45))
         for i, n in enumerate(LARGE_NS):
             rng = random.Random(1000 + i)
             mean, sd = n * 0.3, math.sqrt(n * 0.3 * 0.7)
@@ -259,7 +264,7 @@ class TestBinomial:
             assert abs(sum(x * x for x in z) / draws - 1.0) < 5.0 * math.sqrt(2.0 / draws), n
             z = []
             for seed in range(seeds):
-                est = estimate_pair_correlation(A0, B45, SampleConfig(n, seed))
+                est = estimate_table(table, SampleConfig(n, seed))
                 z.append((est.value - target) / est.std_error)
             mean = sum(z) / seeds
             var = sum((x - mean) ** 2 for x in z) / (seeds - 1)
@@ -324,9 +329,45 @@ class TestBandCoverage:
     def test_pair_estimates_cover_analytic_value(self):
         # a cheap version of the full 100-seed oracle in the acceptance suite
         target = correlation(A0, D30)
+        table = match_table(match_probability(A0, D30))
         misses = 0
         for seed in range(20):
             cfg = SampleConfig(n_samples=5_000, seed=seed)
-            if not estimate_pair_correlation(A0, D30, cfg).within_band(target):
+            if not estimate_table(table, cfg).within_band(target):
                 misses += 1
         assert misses <= 1
+
+
+class TestRowsFromPrintedRows:
+    """A run's Monte Carlo fields follow from its printed rows: each is
+    estimate_table of the table that the printed analytic value gives, at
+    the row's substream, as README's reproducibility section states."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(chsh_parameters(), st.integers(0, 2**64))
+    def test_chsh_pair_rows(self, params, seed):
+        records = run_json("chsh", params, "--mc", "--samples", "10000", "--seed", str(seed))
+        cfg = SampleConfig(10_000, seed)
+        pairs = [r for r in records if r["quantity"].startswith("E(")]
+        assert len(pairs) == 4
+        for k, row in enumerate(pairs):
+            est = estimate_table(match_table(0.5 * (1.0 + row["analytic"])), cfg, k)
+            assert (row["mc_value"], row["mc_std_error"]) == (est.value, est.std_error)
+
+    @settings(max_examples=30, deadline=None)
+    # Color must vary in 10^4 draws for its correlation to be defined.
+    @given(CLASSICAL_PARAMETERS.filter(
+        lambda p: abs(p.get("red_given_cube", 0.75) - p.get("blue_given_sphere", 0.75)) <= 0.99
+    ), st.integers(0, 2**64))
+    def test_classical_rho_rows(self, params, seed):
+        records = run_json("classical", params, "--mc", "--samples", "10000", "--seed", str(seed))
+        [row] = records
+        analytic, fields = row["analytic"], (row["mc_value"], row["mc_std_error"])
+        if params["variant"] == "coin":
+            table = match_table(0.5 * (1.0 + analytic))
+        else:  # rho does not fix the shapes table: its two rates do
+            table = shapes_table(
+                params.get("red_given_cube", 0.75), params.get("blue_given_sphere", 0.75)
+            )
+        est = estimate_table(table, SampleConfig(10_000, seed), 0)
+        assert fields == (est.value, est.std_error)
