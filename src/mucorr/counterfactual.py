@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NotOrthogonalError
-from .montecarlo import match_table
-from .spin import Direction, correlation, match_probability
+from .spin import Direction, correlation
 
 ORTHOGONALITY_TOL = 1e-12
 #: Two CI correlations are "different" if they differ by more than this.
@@ -40,21 +39,14 @@ def _pair(r1: float, r2: float, c1: float, c2: float) -> tuple[float, float]:
     return floor if floor > -1.0 else -1.0, c1 * c2
 
 
-def _spin_pair(theta: Direction, a: Direction, a_prime: Direction) -> tuple[float, float]:
-    """:func:`_pair` of the spin pair a, a' against the remote direction theta."""
-    return _pair(
-        match_probability(theta, a), match_probability(theta, a_prime),
-        correlation(theta, a), correlation(theta, a_prime),
-    )
-
-
-def _ci_table(theta: Direction, a: Direction, a_prime: Direction) -> list[float]:
-    """The 2x2 table of the pair a, a' under conditional independence: two
-    copies of a fair source aligned with theta, at the match rates p1, p2 that
-    :func:`_spin_pair` reads, agree at p1 p2 + (1 - p1)(1 - p2)."""
-    p1 = match_probability(theta, a)
-    p2 = match_probability(theta, a_prime)
-    return match_table(p1 * p2 + (1.0 - p1) * (1.0 - p2))
+def _spin_pair(x: float, y: float) -> tuple[float, float, float]:
+    """:func:`_pair` of a spin pair a, a' from their correlations x, y with
+    one remote direction, and the pair's agreement rate under conditional
+    independence: at the match rates p1, p2 that the floor reads, two copies
+    of a fair source agree at p1 p2 + (1 - p1)(1 - p2)."""
+    p1, p2 = 0.5 * (1.0 + x), 0.5 * (1.0 + y)
+    floor, rho_ci = _pair(p1, p2, x, y)
+    return floor, rho_ci, p1 * p2 + (1.0 - p1) * (1.0 - p2)
 
 
 def rho_min_quantum(theta: Direction, a: Direction, a_prime: Direction) -> float:
@@ -65,7 +57,7 @@ def rho_min_quantum(theta: Direction, a: Direction, a_prime: Direction) -> float
     of at least max(0, p1 + p2 - 1), hence a minimum correlation. Vacuous
     bounds floor at -1.
     """
-    return _spin_pair(theta, a, a_prime)[0]
+    return _spin_pair(correlation(theta, a), correlation(theta, a_prime))[0]
 
 
 def rho_conditional_independence(

@@ -22,7 +22,6 @@ from . import montecarlo as mc
 from . import nsbox as nsb
 from .counterfactual import (
     CI_DIFFERENCE_TOL,
-    _ci_table,
     _require_orthogonal,
     _spin_pair,
     info_leakage,
@@ -585,16 +584,17 @@ def _run_chsh(
     regime = nsb.chsh_class(s_value)
     rows.append(_chsh_row(sid, s_value, s_est, regime, _SPIN_CLASS_LABELS[regime], annotation))
 
+    remotes = {"b": (b, e_ab, e_apb), "b_prime": (b_prime, e_abp, e_apbp)}
     positives, cis = [], []
     for stream, name in enumerate(option_names, _OPTION_STREAM_BASE):
-        theta = {"none": None, "b": b, "b_prime": b_prime}[name]
         ci_est = None
-        if theta is None:  # no remote measurement: no correlation, by assumption
+        if name == "none":  # no remote measurement: no correlation, by assumption
             tag, floor, rho_ci = "no_remote", 0.0, 0.0
         else:
+            theta, x, y = remotes[name]
             tag = f"theta={_fmt_angle(theta.degrees)}"
-            floor, rho_ci = _spin_pair(theta, a, a_prime)
-            ci_est = _estimate(cfg, stream, _ci_table(theta, a, a_prime))
+            floor, rho_ci, agree = _spin_pair(x, y)
+            ci_est = _estimate(cfg, stream, mc.match_table(agree))
         report, positive = _report_rows(sid, floor, rho_ci, ci_est, f"[remote={name}]", tag)
         rows.extend(report)
         positives.append(positive)
@@ -617,8 +617,8 @@ def _run_chsh(
 def _run_counterfactual(
     sid: str, cfg: SampleConfig | None, theta: Direction, a: Direction, a_prime: Direction,
 ) -> list[ResultRow]:
-    ci_est = _estimate(cfg, 0, _ci_table(theta, a, a_prime))
-    return _report_rows(sid, *_spin_pair(theta, a, a_prime), ci_est)[0]
+    floor, rho_ci, agree = _spin_pair(correlation(theta, a), correlation(theta, a_prime))
+    return _report_rows(sid, floor, rho_ci, _estimate(cfg, 0, mc.match_table(agree)))[0]
 
 
 def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[ResultRow]:

@@ -32,6 +32,16 @@ def shapes_table(red_given_cube: float = 0.75, blue_given_sphere: float = 0.75) 
     return [rc / 2.0, (1.0 - rc) / 2.0, (1.0 - bs) / 2.0, bs / 2.0]
 
 
+def ci_table(x: float, y: float) -> list[float]:
+    """The 2x2 table of a spin pair a, a' under conditional independence, as
+    a chsh or counterfactual run samples it, from their correlations x, y
+    with the remote direction: two fair outcomes that agree at
+    p1 p2 + (1 - p1)(1 - p2), where p = (1 + E) / 2."""
+    p1, p2 = 0.5 * (1.0 + x), 0.5 * (1.0 + y)
+    agree = p1 * p2 + (1.0 - p1) * (1.0 - p2)
+    return [agree / 2.0, (1.0 - agree) / 2.0, (1.0 - agree) / 2.0, agree / 2.0]
+
+
 class Quad(NamedTuple):
     """The four apparatus directions of a CHSH arrangement."""
 

@@ -17,6 +17,7 @@ from mucorr import (
     chsh_e_form,
     chsh_s_e,
     chsh_s_ns,
+    correlation,
     make_isotropic,
     match_probability,
     max_info_direction,
@@ -27,12 +28,11 @@ from mucorr import (
     shapes_rho,
     validate_no_signalling,
 )
-from mucorr.counterfactual import _ci_table
 from mucorr.montecarlo import estimate_parity_rate, estimate_table, match_table
 from mucorr.nsbox import NsBox
 from mucorr.scenarios import Scenario, builtin_scenarios, run
 
-from references import box_pair_table, chsh_s_row, shapes_table, sweep_records
+from references import box_pair_table, chsh_s_row, ci_table, shapes_table, sweep_records
 
 A = Direction.from_degrees(0.0)
 A_PRIME = Direction.from_degrees(90.0)
@@ -245,13 +245,16 @@ def test_criterion_11_sampler_oracle(report):
         return (f"pair{degrees:g}", math.cos(math.radians(degrees)),
                 table_estimator(match_table(match_probability(A, other))))
 
+    def ci_at(name, remote):
+        x, y = correlation(remote, A), correlation(remote, A_PRIME)
+        return (name, rho_conditional_independence(remote, A, A_PRIME),
+                table_estimator(ci_table(x, y)))
+
     # Angles near 0, 90 and 180 degrees and asymmetric shapes rates, where
     # a standard error that ignores the outcome geometry misses the band.
     samplers = [pair_at(d) for d in (45.0, 5.0, 10.0, 80.0, 135.0, 170.0)] + [
-        ("ci", rho_conditional_independence(B, A, A_PRIME),
-         table_estimator(_ci_table(B, A, A_PRIME))),
-        ("ci10", rho_conditional_independence(remote_10, A, A_PRIME),
-         table_estimator(_ci_table(remote_10, A, A_PRIME))),
+        ci_at("ci", B),
+        ci_at("ci10", remote_10),
         ("coin", 0.0, table_estimator(match_table(0.5))),
         ("shapes", 0.5, table_estimator(shapes_table())),
         ("shapes.9/.6", shapes_rho(0.9, 0.6), table_estimator(shapes_table(0.9, 0.6))),

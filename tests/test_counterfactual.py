@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mucorr.counterfactual import (
     _pair,
+    _spin_pair,
     binary_entropy,
     info_leakage,
     max_info_direction,
@@ -144,6 +145,21 @@ class TestPairCore:
         assert product.hex() == ref.ci_from_correlations(c1, c2).hex()
         if (c1, c2) == (2.0 * r1 - 1.0, 2.0 * r2 - 1.0):
             assert product.hex() == ref.ci_from_target_rates(r1, r2).hex()
+
+    @given(st.floats(-720.0, 720.0), st.floats(-720.0, 720.0), st.floats(-720.0, 720.0))
+    def test_spin_pair_equals_the_direction_form(self, theta_deg, a_deg, a_prime_deg):
+        # The floor and CI product that the spin pair once read from its
+        # directions, and the agreement rate of its former CI table, from
+        # the correlations in either order (a chsh run holds E(a, theta)).
+        theta, a, a_prime = map(Direction.from_degrees, (theta_deg, a_deg, a_prime_deg))
+        p1, p2 = match_probability(theta, a), match_probability(theta, a_prime)
+        former = (
+            *_pair(p1, p2, correlation(theta, a), correlation(theta, a_prime)),
+            p1 * p2 + (1.0 - p1) * (1.0 - p2),
+        )
+        for x, y in [(correlation(theta, a), correlation(theta, a_prime)),
+                     (correlation(a, theta), correlation(a_prime, theta))]:
+            assert [v.hex() for v in _spin_pair(x, y)] == [v.hex() for v in former]
 
     def test_sums_at_the_edges(self):
         # A sum of 1 gives -1, of 1.5 gives +0.0 (not -0.0), and nan gives -1.

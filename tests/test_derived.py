@@ -105,7 +105,9 @@ def sweep_parameters(draw):
         stop = start + draw(st.floats(0.0, 720.0))
         a = draw(ANGLES)
         params = {"parameter": "theta_degrees", "a_degrees": a, "a_prime_degrees": a + draw(TURNS)}
-    step = (stop - start) / steps if stop > start else draw(st.floats(1e-3, 1.0))
+    step = (stop - start) / steps
+    if step == 0.0:  # stop == start, or a subnormal range that the steps underflow
+        step = draw(st.floats(1e-3, 1.0))
     return {**params, "start": start, "stop": stop, "step": step}
 
 
@@ -145,6 +147,12 @@ def test_derived_rows_are_functions_of_printed_rows(document):
 
 @settings(max_examples=60, deadline=None)
 @given(sweep_parameters())
+# The smallest grids that the subnormal range can hold: two points, one ulp apart.
+@example({"parameter": "isotropic_p", "start": 0.0, "stop": 5e-324, "step": 5e-324})
+@example({
+    "parameter": "theta_degrees", "a_degrees": 0.0, "a_prime_degrees": 90.0,
+    "start": 0.0, "stop": 5e-324, "step": 5e-324,
+})
 def test_sweep_columns_are_functions_of_isotropic_p_or_rho_ci(params):
     records = run_json("sweep", params)
     start, stop, step = params["start"], params["stop"], params["step"]

@@ -2,8 +2,9 @@
 or `inspect`, and the public names are those listed here and in README.
 
 A scan of the sources finds no numpy import, another finds the CHSH
-bounds compared in `nsbox.chsh_class` alone, and a third finds `montecarlo`
-importing nothing from the package but `errors`. Each call check runs in a
+bounds compared in `nsbox.chsh_class` alone, a third finds `montecarlo`
+importing nothing from the package but `errors`, and a fourth finds no
+physics module importing `montecarlo`. Each call check runs in a
 fresh interpreter, since a module once imported stays in `sys.modules`:
 no path of the CLI loads numpy, Monte Carlo included.
 """
@@ -210,6 +211,16 @@ def test_montecarlo_imports_only_errors_from_the_package(tmp_path):
     ):
         probe.write_text(source)
         assert package_imports(probe) == {module}
+
+
+def test_physics_modules_import_nothing_from_montecarlo(tmp_path):
+    # The runners in `scenarios` build every table that the sampler draws.
+    for name in ("spin", "counterfactual", "nsbox"):
+        assert "montecarlo" not in package_imports(SRC / "mucorr" / f"{name}.py"), name
+    # The scan finds the import that `counterfactual` once had.
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .montecarlo import match_table\n")
+    assert package_imports(probe) == {"montecarlo"}
 
 
 def test_only_chsh_class_compares_with_the_chsh_bounds(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucorr.counterfactual import _ci_table
 from mucorr.errors import DegenerateSequenceError, DomainError
 from mucorr.montecarlo import (
     MAX_SAMPLES,
@@ -26,7 +25,7 @@ from mucorr.montecarlo import (
 from mucorr.nsbox import NsBox, make_isotropic
 from mucorr.spin import Direction, correlation, match_probability
 
-from references import box_pair_table, shapes_table
+from references import box_pair_table, ci_table, shapes_table
 from test_derived import CLASSICAL_PARAMETERS, chsh_parameters, run_json
 
 A0 = Direction.from_degrees(0.0)
@@ -133,7 +132,7 @@ class TestSamplers:
         assert est.within_band(correlation(A0, D30))
 
     def test_ci_sampler_matches_product(self):
-        est = estimate_table(_ci_table(B45, A0, A90), CFG)
+        est = estimate_table(ci_table(correlation(B45, A0), correlation(B45, A90)), CFG)
         assert est.within_band(0.5)
 
     def test_coin_uncorrelated(self):
@@ -352,6 +351,24 @@ class TestRowsFromPrintedRows:
         assert len(pairs) == 4
         for k, row in enumerate(pairs):
             est = estimate_table(match_table(0.5 * (1.0 + row["analytic"])), cfg, k)
+            assert (row["mc_value"], row["mc_std_error"]) == (est.value, est.std_error)
+
+    @settings(max_examples=40, deadline=None)
+    @given(chsh_parameters(), st.integers(0, 2**64))
+    def test_chsh_ci_rows(self, params, seed):
+        # Remote option b reads the E rows E1 = E(a,b) and E3 = E(a',b),
+        # option b_prime the rows E2 = E(a,b') and E4 = E(a',b').
+        records = run_json("chsh", params, "--mc", "--samples", "10000", "--seed", str(seed))
+        cfg = SampleConfig(10_000, seed)
+        e = [r["analytic"] for r in records if r["quantity"].startswith("E(")]
+        remote = {"b": (e[0], e[2]), "b_prime": (e[1], e[3])}
+        cis = [r for r in records if r["quantity"].startswith("rho_ci[")]
+        for k, row in enumerate(cis):
+            name = row["quantity"][len("rho_ci[remote="):-1]
+            if name not in remote:  # no remote measurement, nothing sampled
+                assert (row["mc_value"], row["mc_std_error"]) == (None, None)
+                continue
+            est = estimate_table(ci_table(*remote[name]), cfg, 4 + k)
             assert (row["mc_value"], row["mc_std_error"]) == (est.value, est.std_error)
 
     @settings(max_examples=30, deadline=None)
