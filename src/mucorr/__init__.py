@@ -11,7 +11,6 @@ from .counterfactual import (
     info_leakage,
     max_info_direction,
     rho_conditional_independence,
-    rho_min_quantum,
 )
 from .errors import (
     DegenerateSequenceError,
@@ -29,10 +28,8 @@ from .nsbox import (
     BoxClass,
     NsBox,
     chsh_class,
-    chsh_e_form,
     chsh_s_e,
     chsh_s_ns,
-    ci_product,
     classify_box,
     correlator,
     from_correlators,
@@ -40,7 +37,6 @@ from .nsbox import (
     isotropic_parameter,
     make_isotropic,
     rho_ci_ns,
-    rho_min_ns,
     target_probability,
     validate_no_signalling,
 )
@@ -57,10 +53,9 @@ from .spin import (
     TSIRELSON_BOUND,
     Direction,
     correlation,
-    match_probability,
 )
 
-__version__ = "0.4.5"
+__version__ = "0.4.6"
 
 # Every public name imported above, and nothing else.
 __all__ = sorted(

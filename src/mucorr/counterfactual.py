@@ -49,17 +49,6 @@ def _spin_pair(x: float, y: float) -> tuple[float, float, float]:
     return floor, rho_ci, p1 * p2 + (1.0 - p1) * (1.0 - p2)
 
 
-def rho_min_quantum(theta: Direction, a: Direction, a_prime: Direction) -> float:
-    """Assumption-free lower bound on the measured/unmeasured correlation.
-
-    Both local outcome sets must match the remote `theta` outcomes at
-    their quantum match rates p1, p2, so they match each other at a rate
-    of at least max(0, p1 + p2 - 1), hence a minimum correlation. Vacuous
-    bounds floor at -1.
-    """
-    return _spin_pair(correlation(theta, a), correlation(theta, a_prime))[0]
-
-
 def rho_conditional_independence(
     theta: Direction, a: Direction, a_prime: Direction
 ) -> float:

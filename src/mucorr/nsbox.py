@@ -116,8 +116,9 @@ def make_isotropic(p: float) -> NsBox:
 
 
 def isotropic_sweep(p) -> tuple[list[float], list[float], list[float], list[float]]:
-    """chsh_s_ns, chsh_s_e and rho_min_ns(., 0) of make_isotropic(q), and rho_ci_ns(q),
-    for every q of a sequence p in [0, 1], bit for bit, as four lists."""
+    """chsh_s_ns, chsh_s_e and the floor of _target_pair(., 0) of
+    make_isotropic(q), and rho_ci_ns(q), for every q of a sequence p in
+    [0, 1], bit for bit, as four lists."""
     s_ns, s_e, rho_min, rho_ci = [], [], [], []
     for q in p:
         if not 0.0 <= q <= 1.0:
@@ -220,45 +221,31 @@ def chsh_s_ns(box: NsBox) -> float:
     return abs(w00 + w01 + w10 + w11)
 
 
-def chsh_e_form(box: NsBox) -> float:
-    """Signed correlator combination E00 + E01 + E10 - E11.
-
-    For the isotropic family this equals 8p - 4, so exceeding the
-    classical bound 2 is equivalent to p > 0.75. The absolute value
-    (:func:`chsh_s_e`) also exceeds 2 for p < 0.25, where the box wins
-    the complementary parity game instead.
-    """
-    (e00, e01), (e10, e11) = box._corr
-    return e00 + e01 + e10 - e11
-
-
 def chsh_s_e(box: NsBox) -> float:
     """Correlator-form CHSH value |E00 + E01 + E10 - E11|.
 
     Classical bound 2, quantum bound 2*sqrt(2), maximum 4. For the
-    isotropic family this equals |8p - 4|.
+    isotropic family the signed sum is 8p - 4, so it exceeds the classical
+    bound 2 exactly when p > 0.75; its absolute value also exceeds 2 for
+    p < 0.25, where the box wins the complementary parity game instead.
     """
-    return abs(chsh_e_form(box))
+    (e00, e01), (e10, e11) = box._corr
+    return abs(e00 + e01 + e10 - e11)
 
 
 def _target_pair(box: NsBox, b_setting: int) -> tuple[float, float]:
-    """:func:`counterfactual._pair` of the box's two target rates for the
-    remote input b_setting, and of their correlations 2w - 1."""
+    """The measured/unmeasured floor and CI product of the A outcomes for
+    the remote input b_setting: :func:`counterfactual._pair` of the box's
+    two target rates w0, w1 at that input, and of their correlations 2w - 1.
+
+    The floor is the overlap bound on the two target-match rates, floored
+    at -1. At b = 1 the target for a = 1 is A xor B = 1, so that floor
+    bounds the correlation of A0 with the complement of A1.
+    """
     if b_setting not in (0, 1):
         raise DomainError(f"b_setting must be 0 or 1, got {b_setting!r}")
     w0, w1 = (row[b_setting] for row in box._win)
     return _pair(w0, w1, 2.0 * w0 - 1.0, 2.0 * w1 - 1.0)
-
-
-def rho_min_ns(box: NsBox, b_setting: int) -> float:
-    """Minimum correlation between the measured and unmeasured A outcomes
-    when the remote input was b_setting.
-
-    Overlap bound on the two target-match rates, floored at -1. For the
-    input pair (1, 1) the match target flips to A xor B = 1, which is the
-    box's own winning correlation there.
-    """
-    return _target_pair(box, b_setting)[0]
 
 
 def rho_ci_ns(p: float) -> float:
@@ -268,15 +255,6 @@ def rho_ci_ns(p: float) -> float:
         raise DomainError(f"isotropic parameter must lie in [0, 1], got {p!r}")
     bias = 2.0 * p - 1.0
     return bias * bias
-
-
-def ci_product(box: NsBox, b_setting: int) -> float:
-    """General-box CI product for fixed remote input: the product of the
-    two target-match correlations [2P(A xor B = ab|a,b) - 1] over a.
-
-    Reduces to (2p - 1)^2 on the isotropic family.
-    """
-    return _target_pair(box, b_setting)[1]
 
 
 def isotropic_parameter(box: NsBox) -> float | None:

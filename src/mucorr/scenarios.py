@@ -6,10 +6,10 @@ counterfactual triple, a no-signalling box, a classical example, or a
 parameter sweep. Running one yields flat result rows that the CLI can
 render as a table, CSV, or JSON.
 
-Monte Carlo estimates, when requested, sample the 2x2 table that each
-runner builds beside the analytic value, from per-row substreams of the
-configured seed, so every row is reproducible independently of which
-other rows exist.
+Monte Carlo estimates, when requested, sample a 2x2 table that each
+runner names beside the analytic value and that is built only then, from
+per-row substreams of the configured seed, so every row is reproducible
+independently of which other rows exist.
 """
 from __future__ import annotations
 
@@ -486,15 +486,16 @@ def _row(
     return ResultRow(sid, quantity, analytic, est.value, est.std_error, flags)
 
 
-def _estimate(cfg: SampleConfig | None, stream: int, table, parity: int | None = None):
-    """The Monte Carlo estimate of a row from the 2x2 table that its runner
-    builds, drawn from the substream: `mc.estimate_table`'s, or with a parity
-    `mc.estimate_parity_rate`'s pair. None, or (None, None), without Monte Carlo."""
+def _estimate(cfg: SampleConfig | None, stream: int, build, *args, parity: int | None = None):
+    """The Monte Carlo estimate of a row from the 2x2 table build(*args),
+    drawn from the substream: `mc.estimate_table`'s, or with a parity
+    `mc.estimate_parity_rate`'s pair. None, or (None, None), without Monte
+    Carlo, and then no table is built."""
     if cfg is None:
         return None if parity is None else (None, None)
     if parity is None:
-        return mc.estimate_table(table, cfg, stream)
-    return mc.estimate_parity_rate(table, cfg, stream, parity)
+        return mc.estimate_table(build(*args), cfg, stream)
+    return mc.estimate_parity_rate(build(*args), cfg, stream, parity)
 
 
 def _signed_sum(signs, estimates: list) -> EmpiricalEstimate | None:
@@ -570,7 +571,7 @@ def _run_chsh(
     ]
     correlators = [correlation(alpha, beta) for _, alpha, beta, _ in pairs]
     pair_estimates = [
-        _estimate(cfg, stream, mc.match_table(0.5 * (1.0 + e)))
+        _estimate(cfg, stream, mc.match_table, 0.5 * (1.0 + e))
         for stream, e in zip(_PAIR_STREAMS, correlators)
     ]
     rows = [
@@ -594,7 +595,7 @@ def _run_chsh(
             theta, x, y = remotes[name]
             tag = f"theta={_fmt_angle(theta.degrees)}"
             floor, rho_ci, agree = _spin_pair(x, y)
-            ci_est = _estimate(cfg, stream, mc.match_table(agree))
+            ci_est = _estimate(cfg, stream, mc.match_table, agree)
         report, positive = _report_rows(sid, floor, rho_ci, ci_est, f"[remote={name}]", tag)
         rows.extend(report)
         positives.append(positive)
@@ -618,7 +619,12 @@ def _run_counterfactual(
     sid: str, cfg: SampleConfig | None, theta: Direction, a: Direction, a_prime: Direction,
 ) -> list[ResultRow]:
     floor, rho_ci, agree = _spin_pair(correlation(theta, a), correlation(theta, a_prime))
-    return _report_rows(sid, floor, rho_ci, _estimate(cfg, 0, mc.match_table(agree)))[0]
+    return _report_rows(sid, floor, rho_ci, _estimate(cfg, 0, mc.match_table, agree))[0]
+
+
+def _outputs(box: nsb.NsBox, a_in: int, b_in: int) -> list[float]:
+    """The 2x2 table of outputs (A, B) of one input pair of a box."""
+    return [box.prob(A, B, a_in, b_in) for A in (0, 1) for B in (0, 1)]
 
 
 def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[ResultRow]:
@@ -628,8 +634,7 @@ def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[Resul
     input_pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     # Each input pair's 2x2 table of outputs, with the target parity ab.
     rate_ests, corr_ests = zip(*[
-        _estimate(cfg, stream, [box.prob(A, B, a_in, b_in) for A in (0, 1) for B in (0, 1)],
-                  a_in * b_in)
+        _estimate(cfg, stream, _outputs, box, a_in, b_in, parity=a_in * b_in)
         for stream, (a_in, b_in) in zip(_PAIR_STREAMS, input_pairs)
     ])
     for (a_in, b_in), est in zip(input_pairs, rate_ests):
@@ -664,9 +669,9 @@ def _run_classical(
 ) -> list[ResultRow]:
     """The coin's row if rc and bs are None, else the shapes' row."""
     if rc is None:  # a toss and its re-toss: independent fair outcomes
-        return [_row(sid, "rho", 0.0, _estimate(cfg, 0, mc.match_table(0.5)))]
-    table = [rc / 2.0, (1.0 - rc) / 2.0, (1.0 - bs) / 2.0, bs / 2.0]
-    return [_row(sid, "rho", mc.shapes_rho(rc, bs), _estimate(cfg, 0, table))]
+        return [_row(sid, "rho", 0.0, _estimate(cfg, 0, mc.match_table, 0.5))]
+    est = _estimate(cfg, 0, lambda: [rc / 2.0, (1.0 - rc) / 2.0, (1.0 - bs) / 2.0, bs / 2.0])
+    return [_row(sid, "rho", mc.shapes_rho(rc, bs), est)]
 
 
 def _run_sweep(

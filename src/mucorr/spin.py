@@ -63,7 +63,3 @@ def correlation(alpha: Direction, beta: Direction) -> float:
     correlation under the convention that parallel settings correlate +1."""
     return math.cos(alpha.angle - beta.angle)
 
-
-def match_probability(alpha: Direction, beta: Direction) -> float:
-    """Probability that outcomes along alpha and beta agree: (1 + E) / 2."""
-    return 0.5 * (1.0 + correlation(alpha, beta))

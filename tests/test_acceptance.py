@@ -14,22 +14,19 @@ from mucorr import (
     SampleConfig,
     TSIRELSON_BOUND,
     binary_entropy,
-    chsh_e_form,
     chsh_s_e,
     chsh_s_ns,
     correlation,
+    correlator,
     make_isotropic,
-    match_probability,
     max_info_direction,
     rho_ci_ns,
     rho_conditional_independence,
-    rho_min_ns,
-    rho_min_quantum,
     shapes_rho,
     validate_no_signalling,
 )
 from mucorr.montecarlo import estimate_parity_rate, estimate_table, match_table
-from mucorr.nsbox import NsBox
+from mucorr.nsbox import NsBox, _target_pair
 from mucorr.scenarios import Scenario, builtin_scenarios, run
 
 from references import box_pair_table, chsh_s_row, ci_table, shapes_table, sweep_records
@@ -62,7 +59,8 @@ def test_criterion_01_standard_settings_reach_quantum_maximum(report):
 
 
 def test_criterion_02_overlap_bound_at_remote_direction(report):
-    value = rho_min_quantum(B, A, A_PRIME)
+    rows = run(builtin_scenarios()["paper-standard"])
+    value = next(row.analytic for row in rows if row.quantity == "rho_min[remote=b]")
     target = math.sqrt(2.0) - 1.0
     diff = abs(value - target)
     report(2, diff <= 1e-12, f"rho_min={value!r}, |value - (sqrt(2)-1)|={diff:.3g}")
@@ -181,20 +179,23 @@ def test_criterion_08_isotropic_identities_and_threshold(report):
     equivalence_ok = True
     for i, p in enumerate(GRID):
         box = make_isotropic(p)
+        floors = [_target_pair(box, b)[0] for b in (0, 1)]
         deviations = (
             abs(chsh_s_ns(box) - 4.0 * p),
             abs(chsh_s_e(box) - abs(8.0 * p - 4.0)),
-            abs(rho_min_ns(box, 0) - max(-1.0, 4.0 * p - 3.0)),
-            abs(rho_min_ns(box, 1) - max(-1.0, 4.0 * p - 3.0)),
+            abs(floors[0] - max(-1.0, 4.0 * p - 3.0)),
+            abs(floors[1] - max(-1.0, 4.0 * p - 3.0)),
             abs(rho_ci_ns(p) - (2.0 * p - 1.0) ** 2),
         )
+        # The signed sum whose absolute value chsh_s_e is.
+        (e00, e01), (e10, e11) = [[correlator(box, a, b) for b in (0, 1)] for a in (0, 1)]
         worst = max(worst, *deviations)
         # at i=750 the chain holds trivially: the boundary point sits on
         # the non-violating side of all three strict predicates
         flags = (
-            chsh_e_form(box) > 2.0,
-            rho_min_ns(box, 0) > 0.0,
-            rho_min_ns(box, 1) > 0.0,
+            e00 + e01 + e10 - e11 > 2.0,
+            floors[0] > 0.0,
+            floors[1] > 0.0,
             p > 0.75,
         )
         if len(set(flags)) != 1:
@@ -243,7 +244,7 @@ def test_criterion_11_sampler_oracle(report):
     def pair_at(degrees):
         other = Direction.from_degrees(degrees)
         return (f"pair{degrees:g}", math.cos(math.radians(degrees)),
-                table_estimator(match_table(match_probability(A, other))))
+                table_estimator(match_table(0.5 * (1.0 + correlation(A, other)))))
 
     def ci_at(name, remote):
         x, y = correlation(remote, A), correlation(remote, A_PRIME)
@@ -271,7 +272,7 @@ def test_criterion_11_sampler_oracle(report):
     deterministic = all(
         estimator(cfg) == estimator(cfg) for _, _, estimator in samplers
     )
-    pair_table = match_table(match_probability(A, B))
+    pair_table = match_table(0.5 * (1.0 + correlation(A, B)))
     start = time.perf_counter()
     estimate_table(pair_table, SampleConfig(n_samples=1_000_000, seed=123))
     elapsed = time.perf_counter() - start

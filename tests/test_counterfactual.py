@@ -11,7 +11,6 @@ from mucorr.counterfactual import (
     info_leakage,
     max_info_direction,
     rho_conditional_independence,
-    rho_min_quantum,
 )
 from mucorr.errors import (
     DegenerateSequenceError,
@@ -21,7 +20,7 @@ from mucorr.errors import (
 )
 from mucorr.montecarlo import estimate_correlation
 from mucorr.scenarios import Scenario, run
-from mucorr.spin import Direction, correlation, match_probability
+from mucorr.spin import Direction, correlation
 
 import references as ref
 
@@ -30,6 +29,16 @@ A_PRIME_DIR = Direction.from_degrees(90.0)
 
 outcome_lists = st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=64)
 probabilities = st.floats(0.0, 1.0)
+
+
+def match_rate(alpha: Direction, beta: Direction) -> float:
+    """Rate at which outcomes along alpha and beta agree: (1 + E) / 2."""
+    return 0.5 * (1.0 + correlation(alpha, beta))
+
+
+def rho_min(theta: Direction, a: Direction, a_prime: Direction) -> float:
+    """The floor of a, a' against theta, as a counterfactual run's rho_min row prints it."""
+    return _spin_pair(correlation(theta, a), correlation(theta, a_prime))[0]
 
 
 def pearson(m, u) -> float:
@@ -118,7 +127,7 @@ def pair_inputs(draw):
     if source == "spin":
         theta, a, a_prime = [Direction.from_degrees(draw(st.floats(-720.0, 720.0))) for _ in range(3)]
         return (
-            match_probability(theta, a), match_probability(theta, a_prime),
+            match_rate(theta, a), match_rate(theta, a_prime),
             correlation(theta, a), correlation(theta, a_prime),
         )
     w0 = draw(probabilities)
@@ -152,7 +161,7 @@ class TestPairCore:
         # directions, and the agreement rate of its former CI table, from
         # the correlations in either order (a chsh run holds E(a, theta)).
         theta, a, a_prime = map(Direction.from_degrees, (theta_deg, a_deg, a_prime_deg))
-        p1, p2 = match_probability(theta, a), match_probability(theta, a_prime)
+        p1, p2 = match_rate(theta, a), match_rate(theta, a_prime)
         former = (
             *_pair(p1, p2, correlation(theta, a), correlation(theta, a_prime)),
             p1 * p2 + (1.0 - p1) * (1.0 - p2),
@@ -172,37 +181,37 @@ class TestOverlapBound:
     p1, p2 of a and a' to theta, as a correlation."""
 
     def test_values(self):
-        assert rho_min_quantum(A_DIR, A_DIR, A_DIR) == 1.0  # p1 = p2 = 1
-        assert rho_min_quantum(A_PRIME_DIR, A_DIR, A_DIR) == -1.0  # p1 = p2 = 0.5
+        assert rho_min(A_DIR, A_DIR, A_DIR) == 1.0  # p1 = p2 = 1
+        assert rho_min(A_PRIME_DIR, A_DIR, A_DIR) == -1.0  # p1 = p2 = 0.5
         near = Direction(math.acos(0.8))  # p1 = p2 = 0.9
-        assert rho_min_quantum(near, A_DIR, A_DIR) == pytest.approx(0.6)
+        assert rho_min(near, A_DIR, A_DIR) == pytest.approx(0.6)
         # p1 = 0 and p2 = 0.5: the raw bound is negative and clamps
-        assert rho_min_quantum(Direction.from_degrees(180.0), A_DIR, A_PRIME_DIR) == -1.0
+        assert rho_min(Direction.from_degrees(180.0), A_DIR, A_PRIME_DIR) == -1.0
 
     @given(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0))
     def test_properties(self, theta_deg, a_prime_deg):
         theta = Direction.from_degrees(theta_deg)
         a_prime = Direction.from_degrees(a_prime_deg)
-        p1, p2 = match_probability(theta, A_DIR), match_probability(theta, a_prime)
-        v = rho_min_quantum(theta, A_DIR, a_prime)
+        p1, p2 = match_rate(theta, A_DIR), match_rate(theta, a_prime)
+        v = rho_min(theta, A_DIR, a_prime)
         assert v == 2.0 * max(0.0, p1 + p2 - 1.0) - 1.0
         assert -1.0 <= v <= 2.0 * min(p1, p2) - 1.0 + 1e-15
-        assert v == rho_min_quantum(theta, a_prime, A_DIR)
+        assert v == rho_min(theta, a_prime, A_DIR)
 
 
 class TestRhoMin:
     def test_quantum_value_at_bisector(self):
-        v = rho_min_quantum(Direction.from_degrees(45.0), A_DIR, A_PRIME_DIR)
+        v = rho_min(Direction.from_degrees(45.0), A_DIR, A_PRIME_DIR)
         assert v == 0.4142135623730949
         assert abs(v - (math.sqrt(2.0) - 1.0)) <= 1e-12
 
     def test_vacuous_bound_floors_at_minus_one(self):
-        v = rho_min_quantum(Direction.from_degrees(135.0), A_DIR, A_PRIME_DIR)
+        v = rho_min(Direction.from_degrees(135.0), A_DIR, A_PRIME_DIR)
         assert v == -1.0
 
     @given(st.floats(-360.0, 360.0))
     def test_never_below_minus_one(self, theta_deg):
-        v = rho_min_quantum(Direction.from_degrees(theta_deg), A_DIR, A_PRIME_DIR)
+        v = rho_min(Direction.from_degrees(theta_deg), A_DIR, A_PRIME_DIR)
         assert -1.0 <= v <= 1.0
 
 

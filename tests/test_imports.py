@@ -1,5 +1,6 @@
 """The package never imports numpy, the CLI starts without `dataclasses`
-or `inspect`, and the public names are those listed here and in README.
+or `inspect`, the public names are those listed here and in README, and
+the version is the one in pyproject.toml.
 
 A scan of the sources finds no numpy import, another finds the CHSH
 bounds compared in `nsbox.chsh_class` alone, a third finds `montecarlo`
@@ -42,13 +43,13 @@ PUBLIC_NAMES = [
     "DomainError", "EmpiricalEstimate",
     "NotOrthogonalError", "NsBox", "ResultRow", "SampleConfig", "Scenario",
     "TSIRELSON_BOUND", "ValidationError", "binary_entropy",
-    "builtin_scenarios", "chsh_class", "chsh_e_form", "chsh_s_e", "chsh_s_ns",
-    "ci_product", "classify_box", "correlation", "correlator",
+    "builtin_scenarios", "chsh_class", "chsh_s_e", "chsh_s_ns",
+    "classify_box", "correlation", "correlator",
     "from_correlators", "from_labeled_dict", "info_leakage",
     "isotropic_parameter", "load_scenario_file", "make_isotropic",
-    "match_probability", "max_info_direction",
+    "max_info_direction",
     "rho_ci_ns", "rho_conditional_independence",
-    "rho_min_ns", "rho_min_quantum", "run", "shapes_rho", "substream",
+    "run", "shapes_rho", "substream",
     "target_probability", "validate_no_signalling", "validate_scenario",
 ]
 
@@ -252,6 +253,13 @@ def test_public_names_are_unchanged():
         mucorr.no_such_name
 
 
+def test_version_is_the_one_in_pyproject():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert mucorr.__version__ == re.search(r'^version = "([^"]+)"$', project, re.M)[1]
+
+
 def test_scenarios_reach_nsbox_through_a_module_alias():
     from mucorr import scenarios
 
@@ -274,7 +282,7 @@ def removed_names() -> list[str]:
 
 def test_names_that_readme_lists_as_removed_are_gone():
     names = removed_names()
-    assert len(names) >= 19 and "BoxClassification" in names
+    assert len(names) >= 33 and "BoxClassification" in names
     modules = [mucorr] + [
         importlib.import_module(f"mucorr.{info.name}")
         for info in pkgutil.iter_modules(mucorr.__path__) if info.name != "__main__"

@@ -23,7 +23,7 @@ from mucorr.montecarlo import (
     substream,
 )
 from mucorr.nsbox import NsBox, make_isotropic
-from mucorr.spin import Direction, correlation, match_probability
+from mucorr.spin import Direction, correlation
 
 from references import box_pair_table, ci_table, shapes_table
 from test_derived import CLASSICAL_PARAMETERS, chsh_parameters, run_json
@@ -92,7 +92,7 @@ class TestStreams:
         assert eight_draws(1, 0) != eight_draws(2, 0)
 
     def test_estimates_are_deterministic(self):
-        table = match_table(match_probability(A0, B45))
+        table = match_table(0.5 * (1.0 + correlation(A0, B45)))
         e1 = estimate_table(table, CFG, 2)
         e2 = estimate_table(table, CFG, 2)
         assert e1 == e2  # bit-exact, not approximate
@@ -121,14 +121,14 @@ class TestSamplers:
 
     def test_pair_marginals_are_fair(self):
         n = 100_000
-        table = match_table(match_probability(A0, B45))
+        table = match_table(0.5 * (1.0 + correlation(A0, B45)))
         n00, n01, n10, n11 = sample_counts(table, SampleConfig(n, seed=3))
         bound = 4.0 / math.sqrt(n)
         assert abs(2 * (n00 + n01) / n - 1.0) < bound
         assert abs(2 * (n00 + n10) / n - 1.0) < bound
 
     def test_pair_correlation_matches_analytic(self):
-        est = estimate_table(match_table(match_probability(A0, D30)), CFG)
+        est = estimate_table(match_table(0.5 * (1.0 + correlation(A0, D30))), CFG)
         assert est.within_band(correlation(A0, D30))
 
     def test_ci_sampler_matches_product(self):
@@ -254,7 +254,7 @@ class TestBinomial:
     def test_standardized_error_has_unit_variance_up_to_the_cap(self):
         draws, seeds = 40_000, 4_000
         target = math.cos(math.radians(45.0))
-        table = match_table(match_probability(A0, B45))
+        table = match_table(0.5 * (1.0 + correlation(A0, B45)))
         for i, n in enumerate(LARGE_NS):
             rng = random.Random(1000 + i)
             mean, sd = n * 0.3, math.sqrt(n * 0.3 * 0.7)
@@ -328,7 +328,7 @@ class TestBandCoverage:
     def test_pair_estimates_cover_analytic_value(self):
         # a cheap version of the full 100-seed oracle in the acceptance suite
         target = correlation(A0, D30)
-        table = match_table(match_probability(A0, D30))
+        table = match_table(0.5 * (1.0 + correlation(A0, D30)))
         misses = 0
         for seed in range(20):
             cfg = SampleConfig(n_samples=5_000, seed=seed)

@@ -9,10 +9,9 @@ from mucorr.errors import DomainError, ValidationError
 from mucorr.nsbox import (
     BoxClass,
     NsBox,
-    chsh_e_form,
+    _target_pair,
     chsh_s_e,
     chsh_s_ns,
-    ci_product,
     classify_box,
     correlator,
     from_correlators,
@@ -21,7 +20,6 @@ from mucorr.nsbox import (
     isotropic_sweep,
     make_isotropic,
     rho_ci_ns,
-    rho_min_ns,
     target_probability,
     validate_no_signalling,
 )
@@ -60,6 +58,17 @@ def reference_rho_min(win, b_setting):
 def reference_ci_product(win, b_setting):
     r0, r1 = (2.0 * win[:, b_setting] - 1.0).tolist()
     return r0 * r1
+
+
+def rho_min(box: NsBox, b_setting: int) -> float:
+    """The floor of a box for the remote input b_setting, as its rho_min[b=k] row prints it."""
+    return _target_pair(box, b_setting)[0]
+
+
+def signed_chsh(box: NsBox) -> float:
+    """E00 + E01 + E10 - E11, whose absolute value is chsh_s_e."""
+    (e00, e01), (e10, e11) = [[correlator(box, a, b) for b in (0, 1)] for a in (0, 1)]
+    return e00 + e01 + e10 - e11
 
 
 def reference_isotropic_parameter(win):
@@ -114,7 +123,6 @@ def reference_quantities(table) -> dict:
             "win": win.tolist(),
             "corr": corr.tolist(),
             "chsh_s_ns": abs(w00 + w01 + w10 + w11),
-            "chsh_e_form": e00 + e01 + e10 - e11,
             "chsh_s_e": s_e,
             "rho_min": rho_min,
             "ci_product": ci,
@@ -130,10 +138,9 @@ def float_quantities(box: NsBox) -> dict:
         "win": [[target_probability(box, *pair) for pair in row] for row in pairs],
         "corr": [[correlator(box, *pair) for pair in row] for row in pairs],
         "chsh_s_ns": chsh_s_ns(box),
-        "chsh_e_form": chsh_e_form(box),
         "chsh_s_e": chsh_s_e(box),
-        "rho_min": [rho_min_ns(box, b) for b in (0, 1)],
-        "ci_product": [ci_product(box, b) for b in (0, 1)],
+        "rho_min": [_target_pair(box, b)[0] for b in (0, 1)],
+        "ci_product": [_target_pair(box, b)[1] for b in (0, 1)],
         "classify": classify_box(box),
         "violations": [
             (v.kind, v.where, v.residual) for v in validate_no_signalling(box)
@@ -267,7 +274,7 @@ class TestFloatCoreEqualsTheArrayCore:
         for q, *values in zip(ps, *isotropic_sweep(ps)):
             box = make_isotropic(q)
             assert bits(values) == bits(
-                [chsh_s_ns(box), chsh_s_e(box), rho_min_ns(box, 0), rho_ci_ns(q)]
+                [chsh_s_ns(box), chsh_s_e(box), _target_pair(box, 0)[0], rho_ci_ns(q)]
             )
             assert table_of(box).tobytes() == np.where(_REF_WIN, q / 2.0, (1.0 - q) / 2.0).tobytes()
 
@@ -357,7 +364,7 @@ class TestChshForms:
         assert abs(chsh_s_e(make_isotropic(TSIRELSON_P)) - 2.0 * math.sqrt(2.0)) <= 1e-12
 
     def test_signed_form_keeps_orientation(self):
-        assert chsh_e_form(make_isotropic(0.1)) == pytest.approx(-3.2, abs=1e-12)
+        assert signed_chsh(make_isotropic(0.1)) == pytest.approx(-3.2, abs=1e-12)
         assert chsh_s_e(make_isotropic(0.1)) == pytest.approx(3.2, abs=1e-12)
 
     @given(correlator_values, correlator_values, correlator_values, correlator_values)
@@ -368,22 +375,22 @@ class TestChshForms:
 class TestRhoMinNs:
     def test_pr_box_both_settings(self):
         # without the (1,1) target flip the b=1 bound would be vacuous
-        assert rho_min_ns(make_isotropic(1.0), 0) == 1.0
-        assert rho_min_ns(make_isotropic(1.0), 1) == 1.0
+        assert rho_min(make_isotropic(1.0), 0) == 1.0
+        assert rho_min(make_isotropic(1.0), 1) == 1.0
 
     def test_isotropic_values(self):
-        assert rho_min_ns(make_isotropic(0.8), 0) == pytest.approx(0.2, abs=1e-12)
-        assert rho_min_ns(make_isotropic(0.8), 1) == pytest.approx(0.2, abs=1e-12)
+        assert rho_min(make_isotropic(0.8), 0) == pytest.approx(0.2, abs=1e-12)
+        assert rho_min(make_isotropic(0.8), 1) == pytest.approx(0.2, abs=1e-12)
         assert abs(
-            rho_min_ns(make_isotropic(TSIRELSON_P), 0) - (math.sqrt(2.0) - 1.0)
+            rho_min(make_isotropic(TSIRELSON_P), 0) - (math.sqrt(2.0) - 1.0)
         ) <= 1e-12
 
     def test_clamps_at_minus_one(self):
-        assert rho_min_ns(make_isotropic(0.1), 0) == -1.0
+        assert rho_min(make_isotropic(0.1), 0) == -1.0
 
     def test_b_setting_domain(self):
         with pytest.raises(DomainError):
-            rho_min_ns(make_isotropic(1.0), 2)
+            _target_pair(make_isotropic(1.0), 2)
 
 
 class TestCiQuantities:
@@ -397,8 +404,8 @@ class TestCiQuantities:
     @given(st.floats(0.0, 1.0))
     def test_ci_product_reduces_to_isotropic_formula(self, p):
         box = make_isotropic(p)
-        assert ci_product(box, 0) == pytest.approx(rho_ci_ns(p), abs=1e-12)
-        assert ci_product(box, 1) == pytest.approx(rho_ci_ns(p), abs=1e-12)
+        assert _target_pair(box, 0)[1] == pytest.approx(rho_ci_ns(p), abs=1e-12)
+        assert _target_pair(box, 1)[1] == pytest.approx(rho_ci_ns(p), abs=1e-12)
 
     def test_isotropic_parameter_detection(self):
         assert isotropic_parameter(make_isotropic(0.37)) == pytest.approx(
@@ -461,10 +468,10 @@ class TestClassification:
         # Each verdict row equals its definition on the box.
         assert verdict(rows, "verdict_chsh_violated") == (chsh_s_e(box) > 2.0)
         assert verdict(rows, "verdict_rho_min_positive") == (
-            rho_min_ns(box, 0) > 0.0 or rho_min_ns(box, 1) > 0.0
+            rho_min(box, 0) > 0.0 or rho_min(box, 1) > 0.0
         )
         assert verdict(rows, "verdict_ci_rho_positive") == (
-            ci_product(box, 0) > 0.0 or ci_product(box, 1) > 0.0
+            _target_pair(box, 0)[1] > 0.0 or _target_pair(box, 1)[1] > 0.0
         )
         # Each verdict agrees with the flags of the rows that show its values.
         assert verdict(rows, "verdict_chsh_violated") == (

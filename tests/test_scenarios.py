@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucorr import nsbox as nsb
+from mucorr import scenarios
 from mucorr.cli import main
 from mucorr.errors import ValidationError
 from mucorr.montecarlo import EmpiricalEstimate, SampleConfig
@@ -213,7 +214,56 @@ class TestBuiltins:
         assert shapes["rho"].analytic == 0.5
 
 
+def count_table_builds(scenario: Scenario) -> tuple[int, int, list[ResultRow]]:
+    """The calls to `mc.match_table`, and to every table builder that a
+    runner hands to `_estimate` (match_table among them), in one run of the
+    scenario, and its rows."""
+    calls = {"match_table": 0, "builds": 0}
+    match_table, estimate = scenarios.mc.match_table, scenarios._estimate
+
+    def counted_match_table(p):
+        calls["match_table"] += 1
+        return match_table(p)
+
+    def counted_estimate(cfg, stream, build, *args, **kwargs):
+        def counted_build(*build_args):
+            calls["builds"] += 1
+            return build(*build_args)
+
+        return estimate(cfg, stream, counted_build, *args, **kwargs)
+
+    with mock.patch.object(scenarios.mc, "match_table", counted_match_table), \
+            mock.patch.object(scenarios, "_estimate", counted_estimate):
+        rows = run(scenario)
+    return calls["match_table"], calls["builds"], rows
+
+
+#: (match_table calls, table builds) of a Monte Carlo run of each scenario:
+#: one build per sampled table, none for a row composed of other estimates.
+MC_TABLE_BUILDS = {
+    "paper-standard": (6, 6),  # four E rows, two rho_ci rows
+    "paper-55-35": (6, 6),
+    "paper-pr-box": (0, 4),  # four input pairs
+    "paper-coin": (1, 1),
+    "paper-shapes": (0, 1),
+    "cf": (1, 1),  # the rho_ci row
+}
+
+
 class TestMonteCarloRows:
+    def test_only_a_monte_carlo_run_builds_tables(self):
+        documents = [*builtin_scenarios().values(), Scenario("cf", "counterfactual", {
+            "theta_degrees": 30.0, "a_degrees": 0.0, "a_prime_degrees": 90.0,
+        })]
+        for scenario in documents:
+            sid = scenario.scenario_id
+            assert count_table_builds(scenario) == (0, 0, run(scenario)), sid
+            sampled = scenario._replace(mc=SampleConfig(n_samples=1000, seed=7))
+            *builds, rows = count_table_builds(sampled)
+            assert tuple(builds) == MC_TABLE_BUILDS[sid], sid
+            assert rows == run(sampled), sid
+            assert any(row.mc_value is not None for row in rows), sid
+
     def test_mc_fields_present_only_where_sampled(self):
         scenario = builtin_scenarios()["paper-standard"]
         scenario = Scenario(
@@ -904,7 +954,7 @@ class TestSweeps:
             box = nsb.make_isotropic(p)
             reference.append({
                 "scenario": "s", "isotropic_p": p, "s_ns": nsb.chsh_s_ns(box),
-                "s_e": nsb.chsh_s_e(box), "rho_min": nsb.rho_min_ns(box, 0),
+                "s_e": nsb.chsh_s_e(box), "rho_min": nsb._target_pair(box, 0)[0],
                 "rho_ci": nsb.rho_ci_ns(p),
             })
         assert self._bits(sweep_records(scenario)) == self._bits(reference)

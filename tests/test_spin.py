@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mucorr.montecarlo import match_table
 from mucorr.nsbox import BoxClass, chsh_class
 from mucorr.scenarios import Scenario, _SPIN_CLASS_LABELS, builtin_scenarios
 from mucorr.spin import (
@@ -11,7 +12,6 @@ from mucorr.spin import (
     TSIRELSON_BOUND,
     Direction,
     correlation,
-    match_probability,
 )
 
 from references import builtin_quad, chsh_label, chsh_s, chsh_s_row
@@ -71,11 +71,15 @@ class TestCorrelation:
 
     @given(angles_deg, angles_deg)
     def test_match_probability_consistent(self, x, y):
+        # The agreement rate (1 + E) / 2 of a pair, as a chsh run's E(...)
+        # row samples it: a 2x2 table that sums to 1.
         d1, d2 = Direction.from_degrees(x), Direction.from_degrees(y)
-        p = match_probability(d1, d2)
-        assert 0.0 <= p <= 1.0
+        p = 0.5 * (1.0 + correlation(d1, d2))
+        table = match_table(p)
+        assert 0.0 <= p <= 1.0 and all(0.0 <= cell <= 0.5 for cell in table)
+        assert abs(sum(table) - 1.0) <= 1e-15
         # 2p - 1 recovers E only up to one rounding step
-        assert abs(2.0 * p - 1.0 - correlation(d1, d2)) <= 1e-15
+        assert abs(2.0 * (table[0] + table[3]) - 1.0 - correlation(d1, d2)) <= 1e-15
 
     @given(angles_deg, angles_deg, st.floats(-10.0, 10.0))
     def test_rotation_invariance(self, x, y, r):
