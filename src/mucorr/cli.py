@@ -7,9 +7,7 @@ output, unexpected failure). Nothing else is ever returned.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
-import csv
 import functools
 import math
 import os
@@ -17,6 +15,7 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .errors import DegenerateSequenceError, ValidationError
 from .montecarlo import SampleConfig
@@ -35,44 +34,130 @@ from .scenarios import (
 FORMATS = ("table", "csv", "json")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument errors are validation errors, so they exit 1, not 2."""
+class _Option(NamedTuple):
+    """One option of a command, as `add_argument` takes it. A `type` of None
+    makes the option a flag (`store_true`); any other type converts its value."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    flag: str
+    type: Callable[[str], object] | None = str
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    metavar: str | None = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        """The attribute that argparse names after the flag."""
+        return self.flag[2:].replace("-", "_")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=FORMATS, default="table",
-        help="output format (default: table)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write output to PATH instead of standard output",
-    )
+_OUTPUT_OPTIONS = (
+    _Option("--format", choices=FORMATS, default="table", help="output format (default: table)"),
+    _Option("--out", metavar="PATH", help="write output to PATH instead of standard output"),
+)
+
+#: Each command: its help, its positionals as (name, help), and its options,
+#: in the order that the help lists them. `build_parser` and `_read_argv`
+#: both read this table.
+_COMMANDS = {
+    "run": (
+        "run a built-in scenario id or a scenario file",
+        (("scenario", "built-in id (see 'mucorr list') or path to a JSON file"),),
+        (
+            _Option("--mc", None, default=False, help=(
+                "add Monte Carlo estimates (default: n=%d, seed=%d)" % SampleConfig()
+            )),
+            _Option("--samples", int, metavar="N", help="Monte Carlo sample count (implies --mc)"),
+            _Option("--seed", int, metavar="S", help="Monte Carlo master seed (implies --mc)"),
+            *_OUTPUT_OPTIONS,
+        ),
+    ),
+    "sweep": (
+        "evaluate derived quantities over a parameter grid",
+        (),
+        (
+            _Option("--parameter", choices=SWEEP_PARAMETERS, required=True, help="grid parameter"),
+            _Option("--start", float, required=True, metavar="X"),
+            _Option("--stop", float, required=True, metavar="Y"),
+            _Option("--step", float, required=True, metavar="Z"),
+            _Option("--a-degrees", float, metavar="DEG", help=(
+                f"measured direction for theta_degrees sweeps (default {SWEEP_DIRECTIONS[0]:g})"
+            )),
+            _Option("--a-prime-degrees", float, metavar="DEG", help=(
+                f"unmeasured direction for theta_degrees sweeps (default {SWEEP_DIRECTIONS[1]:g})"
+            )),
+            *_OUTPUT_OPTIONS,
+        ),
+    ),
+    "list": ("list the built-in scenarios", (), _OUTPUT_OPTIONS),
+    "validate": (
+        "check a scenario id or file without running it", (("scenario", None),), (),
+    ),
+}
 
 
-def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
-    default = SampleConfig()
-    parser.add_argument(
-        "--mc", action="store_true",
-        help=f"add Monte Carlo estimates (default: n={default.n_samples}, seed={default.seed})",
-    )
-    parser.add_argument(
-        "--samples", type=int, metavar="N", default=None,
-        help="Monte Carlo sample count (implies --mc)",
-    )
-    parser.add_argument(
-        "--seed", type=int, metavar="S", default=None,
-        help="Monte Carlo master seed (implies --mc)",
-    )
+def _read_argv(argv) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` returns for an exact,
+    well-formed call, or None for any call that argparse should read: help,
+    '--', an abbreviated or unknown option, a value or positional that
+    starts with '-', a missing or extra positional, a missing required
+    option, or a value that fails its conversion or choices."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positionals, options = _COMMANDS[argv[0]]
+    by_flag = {option.flag: option for option in options}
+    values = {}
+    found = []
+    args = iter(argv[1:])
+    for arg in args:
+        if not arg.startswith("-"):
+            found.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        option = by_flag.get(flag)
+        if option is None:
+            return None
+        if option.type is None:  # a flag takes no value
+            if eq:
+                return None
+            values[flag] = True
+            continue
+        if not eq:
+            value = next(args, "-")  # a missing value reads as a dash-leading one
+            if value.startswith("-"):
+                return None
+        try:
+            value = option.type(value)
+        except (TypeError, ValueError):
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[flag] = value  # a repeated option: the last one wins
+    if len(found) != len(positionals):
+        return None
+    if any(option.required and option.flag not in values for option in options):
+        return None
+    namespace = dict(zip((name for name, _ in positionals), found))
+    for option in options:
+        namespace[option.dest] = values.get(option.flag, option.default)
+    return SimpleNamespace(command=argv[0], **namespace)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it unchanged."""
+def build_parser():
+    """The CLI's parser, built from `_COMMANDS` once per process; parsing
+    leaves it unchanged. `main` builds it only for calls that `_read_argv`
+    leaves to it, so that help and usage errors are argparse's own."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument errors are validation errors, so they exit 1, not 2."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="mucorr",
         description=(
@@ -81,44 +166,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    run_p = sub.add_parser(
-        "run", help="run a built-in scenario id or a scenario file",
-    )
-    run_p.add_argument(
-        "scenario", help="built-in id (see 'mucorr list') or path to a JSON file",
-    )
-    _add_mc_flags(run_p)
-    _add_output_flags(run_p)
-
-    sweep_p = sub.add_parser(
-        "sweep", help="evaluate derived quantities over a parameter grid",
-    )
-    sweep_p.add_argument(
-        "--parameter", required=True, choices=SWEEP_PARAMETERS,
-        help="grid parameter",
-    )
-    sweep_p.add_argument("--start", type=float, required=True, metavar="X")
-    sweep_p.add_argument("--stop", type=float, required=True, metavar="Y")
-    sweep_p.add_argument("--step", type=float, required=True, metavar="Z")
-    sweep_p.add_argument(
-        "--a-degrees", type=float, default=None, metavar="DEG",
-        help=f"measured direction for theta_degrees sweeps (default {SWEEP_DIRECTIONS[0]:g})",
-    )
-    sweep_p.add_argument(
-        "--a-prime-degrees", type=float, default=None, metavar="DEG",
-        help=f"unmeasured direction for theta_degrees sweeps (default {SWEEP_DIRECTIONS[1]:g})",
-    )
-    _add_output_flags(sweep_p)
-
-    list_p = sub.add_parser("list", help="list the built-in scenarios")
-    _add_output_flags(list_p)
-
-    val_p = sub.add_parser(
-        "validate", help="check a scenario id or file without running it",
-    )
-    val_p.add_argument("scenario")
-
+    for command, (command_help, positionals, options) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=command_help)
+        for name, positional_help in positionals:
+            command_parser.add_argument(name, help=positional_help)
+        for option in options:
+            if option.type is None:
+                command_parser.add_argument(option.flag, action="store_true", help=option.help)
+            else:
+                command_parser.add_argument(
+                    option.flag, type=option.type, choices=option.choices,
+                    default=option.default, required=option.required,
+                    metavar=option.metavar, help=option.help,
+                )
     return parser
 
 
@@ -167,6 +227,8 @@ def _write_table(stream, headers: list, blocks) -> None:
 
 
 def _write_csv(stream, headers: list, blocks) -> None:
+    import csv  # here, so that table and JSON calls never load it
+
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(headers)
     for block in blocks:
@@ -176,14 +238,18 @@ def _write_csv(stream, headers: list, blocks) -> None:
         # and no row is one lone field (csv writes a lone empty one as '""'),
         # each line is its cells joined by commas.
         text = {cell for cells, types in columns if types != {float} for cell in cells}
-        if len(headers) > 1 and _CSV_LINE.writerow(list(text)) == ",".join(text) + "\n":
+        if len(headers) > 1 and _csv_line().writerow(list(text)) == ",".join(text) + "\n":
             stream.write("\n".join(map(",".join, rows)) + "\n")
         else:
             writer.writerows(rows)
 
 
-#: A csv writer whose `writerow` returns the line it would write.
-_CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+@functools.cache
+def _csv_line():
+    """A csv writer whose `writerow` returns the line it would write."""
+    import csv
+
+    return csv.writer(SimpleNamespace(write=str), lineterminator="\n")
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -265,7 +331,7 @@ def _resolve_scenario(reference: str) -> Scenario:
     )
 
 
-def _apply_mc_flags(scenario: Scenario, args: argparse.Namespace) -> Scenario:
+def _apply_mc_flags(scenario: Scenario, args: SimpleNamespace) -> Scenario:
     requested = args.mc or args.samples is not None or args.seed is not None
     if not requested:
         return scenario
@@ -279,7 +345,7 @@ def _apply_mc_flags(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario._replace(mc=cfg)
 
 
-def _cmd_run(args: argparse.Namespace) -> None:
+def _cmd_run(args: SimpleNamespace) -> None:
     scenario = _apply_mc_flags(_resolve_scenario(args.scenario), args)
     if scenario.kind == "sweep":
         columns = sweep_columns(scenario)
@@ -289,7 +355,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
     emit(columns, args.format, args.out)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
+def _cmd_sweep(args: SimpleNamespace) -> None:
     parameters = {
         "parameter": args.parameter,
         "start": args.start,
@@ -306,7 +372,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     emit(sweep_columns(scenario), args.format, args.out)
 
 
-def _cmd_list(args: argparse.Namespace) -> None:
+def _cmd_list(args: SimpleNamespace) -> None:
     catalog = builtin_scenarios().values()
     columns = [
         [s.scenario_id for s in catalog],
@@ -316,20 +382,23 @@ def _cmd_list(args: argparse.Namespace) -> None:
     emit(ColumnBlocks(["scenario", "kind", "notes"], [columns]), args.format, args.out)
 
 
-def _cmd_validate(args: argparse.Namespace) -> None:
+def _cmd_validate(args: SimpleNamespace) -> None:
     scenario = _resolve_scenario(args.scenario)
     print(f"ok: {scenario.scenario_id} ({scenario.kind})")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     args = None
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # after --help, or a usage error
-            sys.stdout.flush()
-            return int(exc.code or 0)
+        args = _read_argv(argv)
+        if args is None:
+            try:
+                args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+            except SystemExit as exc:  # after --help, or a usage error
+                sys.stdout.flush()
+                return int(exc.code or 0)
         handler = {
             "run": _cmd_run,
             "sweep": _cmd_sweep,

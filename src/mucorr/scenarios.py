@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from decimal import Decimal
 from typing import Iterator, NamedTuple
 
 from . import montecarlo as mc
@@ -353,6 +352,8 @@ def _validate_sweep(params: dict, problems: list[str]):
         # The grid holds _grid_steps(start, stop, step) + 1 points. Their
         # count in Decimal stays finite where the float quotient overflows,
         # and it reaches the cap only where the float count passes it too.
+        from decimal import Decimal  # here, so that only sweeps load it
+
         steps = (Decimal(stop) - Decimal(start)) / Decimal(step)
         if steps < MAX_GRID_POINTS and math.isinf(stop - start):
             problems.append(

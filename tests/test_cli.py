@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucorr import cli
-from mucorr.cli import FORMATS, main
+from mucorr.cli import FORMATS, build_parser, main
 from mucorr.montecarlo import SampleConfig
 from mucorr.scenarios import (
     KINDS,
+    SWEEP_PARAMETERS,
     ColumnBlocks,
     Scenario,
     builtin_scenarios,
@@ -659,6 +660,166 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "paper-coin" in proc.stdout
+
+
+# The argv grammar of the reader's equivalence test: every option of every
+# command with values it takes and values it refuses.
+COUNTS = ["1000", "0", "-5", "x", "1.5", " 7 ", "1_000", "", "10000000000000000000000"]
+NUMBERS = [
+    "0", "1", "0.25", "-0.5", "-1e308", "1e400", "nan", "-inf", "x", "1e", " 2 ",
+    "", "-", "0x10", "1_0.5",
+]
+OPTION_VALUES = {
+    "--mc": [],
+    "--samples": COUNTS,
+    "--seed": COUNTS,
+    "--format": [*FORMATS, "yaml", "JSON", ""],
+    "--out": ["out.csv", "", "-", "--x", "-o", "a b", "a=b", "--help"],
+    "--parameter": [*SWEEP_PARAMETERS, "x", ""],
+    "--start": NUMBERS,
+    "--stop": NUMBERS,
+    "--step": NUMBERS,
+    "--a-degrees": NUMBERS,
+    "--a-prime-degrees": NUMBERS,
+}
+STRAYS = ["-h", "--help", "--", "--verbose", "-x", "-5", "-", "", "paper-coin", "extra", "--=1",
+          "--mc=1", "--mc="]
+COMMANDS = ["run", "sweep", "list", "validate"]
+COMMAND_OPTIONS = {
+    "run": ["--mc", "--samples", "--seed", "--format", "--out"],
+    "sweep": ["--parameter", "--start", "--stop", "--step", "--a-degrees",
+              "--a-prime-degrees", "--format", "--out"],
+    "list": ["--format", "--out"],
+    "validate": [],
+}
+
+
+@st.composite
+def well_formed_argv(draw) -> list[str]:
+    """A call that the reader must read: exact options, in any order and
+    possibly repeated, with values that convert, joined by '=' when they
+    start with '-', as in the `--start=...` forms that
+    `perfbench/workloads.py` emits."""
+    command = draw(st.sampled_from(COMMANDS))
+    flags = draw(st.lists(st.sampled_from(COMMAND_OPTIONS[command]), max_size=6)) if (
+        COMMAND_OPTIONS[command]) else []
+    if command == "sweep":
+        flags += ["--parameter", "--start", "--stop", "--step"]
+    tokens = [[draw(st.sampled_from(["paper-coin", "x.json", "", "list"]))]] if command in (
+        "run", "validate") else []
+    for flag in draw(st.permutations(flags)):
+        if flag == "--mc":
+            tokens.append([flag])
+            continue
+        value = {
+            "--samples": str(draw(st.integers(-10, 10**7))),
+            "--seed": str(draw(st.integers(-10, 10**7))),
+            "--format": draw(st.sampled_from(FORMATS)),
+            "--out": draw(st.sampled_from(["out.csv", "", "a b", "a=b", "-o", "--help"])),
+            "--parameter": draw(st.sampled_from(SWEEP_PARAMETERS)),
+        }.get(flag) or repr(draw(st.floats()))
+        if value.startswith("-") or draw(st.booleans()):
+            tokens.append([f"{flag}={value}"])
+        else:
+            tokens.append([flag, value])
+    return [command, *(token for group in draw(st.permutations(tokens)) for token in group)]
+
+
+@st.composite
+def any_argv(draw) -> list[str]:
+    """A well-formed call with up to three faults: a stray token (help, '--',
+    an unknown flag, a dash-leading or extra positional, an option of any
+    command with any value, or with '=' where it takes none), an
+    abbreviated option, a value replaced, a token dropped, or another
+    command name."""
+    argv = draw(well_formed_argv())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        fault = draw(st.sampled_from(["stray", "option", "abbreviate", "value", "drop",
+                                      "command"]))
+        flag = draw(st.sampled_from(list(OPTION_VALUES)))
+        value = draw(st.sampled_from(OPTION_VALUES[flag] or STRAYS))
+        if fault == "stray":
+            argv.insert(at, draw(st.sampled_from(STRAYS)))
+        elif fault == "option":
+            argv[at:at] = draw(st.sampled_from([[flag, value], [f"{flag}={value}"], [flag]]))
+        elif fault == "abbreviate":
+            long = [i for i, arg in enumerate(argv) if arg.startswith("--") and len(arg) > 3]
+            if long:
+                i = draw(st.sampled_from(long))
+                argv[i] = argv[i][:draw(st.integers(3, len(argv[i]) - 1))]
+        elif argv and fault == "value":
+            argv[min(at, len(argv) - 1)] = value
+        elif argv and fault == "drop":
+            del argv[min(at, len(argv) - 1)]
+        elif argv:
+            argv[0] = draw(st.sampled_from([*COMMANDS, "frobnicate", "-h", "--help"]))
+    return argv
+
+
+def comparable(namespace) -> dict:
+    # repr tells nan from nan, -0.0 from 0.0 and 1 from 1.0 and "1".
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+class TestArgvReader:
+    """`_read_argv` reads a call as argparse does, or leaves it to argparse."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(any_argv())
+    def test_reader_returns_none_or_what_argparse_returns(self, argv):
+        read = cli._read_argv(argv)
+        if read is not None:
+            assert comparable(read) == comparable(build_parser().parse_args(argv)), argv
+
+    @settings(max_examples=500, deadline=None)
+    @given(well_formed_argv())
+    def test_well_formed_calls_are_read(self, argv):
+        read = cli._read_argv(argv)
+        assert read is not None, argv
+        assert comparable(read) == comparable(build_parser().parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "paper-coin", "--form", "csv"],
+        ["run", "paper-coin", "--help"],
+        ["run", "paper-coin", "-h"],
+        ["run", "--", "paper-coin"],
+        ["run", "paper-coin", "--samples", "-5"],
+        ["run", "-paper"],
+        ["run", "paper-coin", "extra"],
+        ["run"],
+        ["run", "paper-coin", "--mc=1"],
+        ["run", "paper-coin", "--samples", "x"],
+        ["run", "paper-coin", "--format", "yaml"],
+        ["run", "paper-coin", "--out"],
+        ["sweep", "--parameter", "isotropic_p", "--start", "0", "--stop", "1"],
+        ["sweep", "--parameter", "isotropic_p", "--start", "-0.5", "--stop", "1", "--step", "1"],
+        ["validate", "paper-coin", "--mc"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_calls_left_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
+
+    def test_repeated_option_last_wins(self):
+        argv = ["run", "paper-coin", "--format", "csv", "--seed", "3", "--format=json", "--mc",
+                "--mc"]
+        read = cli._read_argv(argv)
+        assert vars(read) == vars(build_parser().parse_args(argv))
+        assert (read.format, read.seed, read.mc) == ("json", 3, True)
+
+    @pytest.mark.parametrize("argv", [
+        ["list", "--format", "csv"],
+        ["run", "paper-coin", "--samples", "1000", "--seed", "7", "--format", "json"],
+        ["run"],
+        ["run", "paper-coin", "--verbose"],
+    ])
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch, argv):
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["mucorr", *argv])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
 
 
 class TestRepeatedCalls:

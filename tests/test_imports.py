@@ -1,5 +1,5 @@
 """The package never imports numpy, the CLI starts without `dataclasses`
-or `inspect`, the public names are those listed here and in README, and
+or `inspect` and runs a well-formed call without argparse, the public names are those listed here and in README, and
 the version is the one in pyproject.toml.
 
 A scan of the sources finds no numpy import, another finds the CHSH
@@ -185,6 +185,50 @@ def test_monte_carlo_never_loads_numpy(argv):
 def test_cli_starts_without_dataclasses_or_inspect(argv):
     # Each costs ~10 ms of every start; the records are named tuples.
     assert not {"dataclasses", "inspect"} & modules_loaded_by(*argv)
+
+
+#: What building the argument parser loads (argparse's messages import
+#: gettext, and gettext locale), and the modules of CSV output and of the
+#: sweep grid count.
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+LAZY_MODULES = PARSER_MODULES | {"csv", "decimal"}
+SWEEP = ["sweep", "--parameter", "theta_degrees", "--start=-9", "--stop", "9", "--step", "1"]
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["run", "paper-standard"], set()),
+    (["run", "paper-standard", "--format", "json"], set()),
+    (["run", "paper-standard", "--mc", "--samples", "1000", "--seed", "7"], set()),
+    (["run", "paper-pr-box", "--mc", "--samples=1000", "--format=json"], set()),
+    (["run", "paper-coin", "--format", "csv"], {"csv"}),
+    (["list"], set()),
+    (["list", "--format", "json"], set()),
+    (["validate", "paper-coin"], set()),
+    (SWEEP, {"decimal"}),
+    ([*SWEEP, "--format", "json"], {"decimal"}),
+    ([*SWEEP, "--format", "csv"], {"csv", "decimal"}),
+])
+def test_well_formed_calls_never_build_the_parser(argv, allowed):
+    # argparse, with the gettext and locale it imports, is ~6 ms of a fresh
+    # start; csv and decimal load only where they are used.
+    assert LAZY_MODULES & modules_loaded_by(*argv) <= allowed
+
+
+@pytest.mark.parametrize("kind", ["chsh", "counterfactual"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_scenario_files_never_build_the_parser(scenario_files, command, kind):
+    assert not LAZY_MODULES & modules_loaded_by(command, str(scenario_files[kind]))
+
+
+def test_usage_errors_still_come_from_argparse(capsys):
+    from mucorr.cli import main
+
+    assert main(["run", "paper-coin", "--verbose"]) == 1
+    assert capsys.readouterr().err == (
+        "usage: mucorr [-h] command ...\n"
+        "mucorr: error: unrecognized arguments: --verbose\n"
+    )
+    assert PARSER_MODULES <= modules_loaded_by("--help")
 
 
 def test_no_module_imports_numpy(tmp_path):
