@@ -55,7 +55,7 @@ from .spin import (
     correlation,
 )
 
-__version__ = "0.4.7"
+__version__ = "0.4.8"
 
 # Every public name imported above, and nothing else.
 __all__ = sorted(

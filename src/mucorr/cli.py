@@ -11,6 +11,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -226,30 +227,32 @@ def _write_table(stream, headers: list, blocks) -> None:
         stream.write("\n".join(lines) + "\n")
 
 
+#: Whether a text holds a comma, a double quote, CR or LF: a CSV field that
+#: does is quoted, with its quotes doubled (RFC 4180).
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
+
+
+def _csv_fields(cells: list[str], lone: bool) -> list[str]:
+    """Text cells as CSV fields. In a row of one field (`lone`), an empty
+    field is quoted too, so that its line is not blank."""
+    if not lone and not _CSV_SPECIAL("".join(cells)):
+        return cells
+    return [
+        '"%s"' % cell.replace('"', '""') if _CSV_SPECIAL(cell) or (lone and not cell) else cell
+        for cell in cells
+    ]
+
+
 def _write_csv(stream, headers: list, blocks) -> None:
-    import csv  # here, so that table and JSON calls never load it
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(headers)
+    """A header line, then a line per row: each text column by `_csv_fields`."""
+    lone = len(headers) == 1
+    stream.write(",".join(_csv_fields(headers, lone)) + "\n")
     for block in blocks:
-        columns = list(map(_cell_column, block))
-        rows = zip(*(cells for cells, _ in columns))
-        # '.12g' floats never need quoting. When no other cell does either,
-        # and no row is one lone field (csv writes a lone empty one as '""'),
-        # each line is its cells joined by commas.
-        text = {cell for cells, types in columns if types != {float} for cell in cells}
-        if len(headers) > 1 and _csv_line().writerow(list(text)) == ",".join(text) + "\n":
-            stream.write("\n".join(map(",".join, rows)) + "\n")
-        else:
-            writer.writerows(rows)
-
-
-@functools.cache
-def _csv_line():
-    """A csv writer whose `writerow` returns the line it would write."""
-    import csv
-
-    return csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+        columns = [
+            cells if types == {float} else _csv_fields(cells, lone)
+            for cells, types in map(_cell_column, block)
+        ]
+        stream.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -258,15 +258,15 @@ def rho_ci_ns(p: float) -> float:
 
 
 def isotropic_parameter(box: NsBox) -> float | None:
-    """The common target probability p if the box is isotropic (every
-    target rate within CONSTRAINT_TOL of it), else None."""
+    """The common target probability p, clamped into [0, 1], if the box is
+    isotropic (every target rate within CONSTRAINT_TOL of it), else None."""
     probs = [*box._win[0], *box._win[1]]
     try:
         p = math.fsum(probs) / 4.0
     except (ValueError, OverflowError):  # inf + -inf, or a sum past the float range
         return None
     if all(abs(q - p) <= CONSTRAINT_TOL for q in probs):
-        return p
+        return min(max(p, 0.0), 1.0)
     return None
 
 

@@ -624,8 +624,14 @@ def _run_counterfactual(
 
 
 def _outputs(box: nsb.NsBox, a_in: int, b_in: int) -> list[float]:
-    """The 2x2 table of outputs (A, B) of one input pair of a box."""
-    return [box.prob(A, B, a_in, b_in) for A in (0, 1) for B in (0, 1)]
+    """The 2x2 table of outputs (A, B) of one input pair of a box. A cell
+    below 0 (by CONSTRAINT_TOL at most, in a valid box) is sampled at 0,
+    the table rescaled to sum to 1."""
+    table = [box.prob(A, B, a_in, b_in) for A in (0, 1) for B in (0, 1)]
+    if min(table) >= 0.0:
+        return table
+    clamped = [max(x, 0.0) for x in table]
+    return [x / sum(clamped) for x in clamped]
 
 
 def _run_nsbox(sid: str, cfg: SampleConfig | None, box: nsb.NsBox) -> list[ResultRow]:
@@ -731,16 +737,6 @@ def _evaluate(scenario: Scenario, sweep: bool):
     return evaluate(scenario.scenario_id, scenario.mc, *checked)
 
 
-def grid_points(start: float, stop: float, step: float) -> list[float]:
-    """Monotone grid start, start + step, ... capped at stop.
-
-    Points are built as start + i * step (never accumulated), so exact
-    decimal landmarks like 0.75 on a 0.01 grid stay exact. A degenerate
-    range (start == stop) yields the single point start.
-    """
-    return [start + i * step for i in range(_grid_steps(start, stop, step) + 1)]
-
-
 def _grid_steps(start: float, stop: float, step: float) -> int:
     """Steps of the grid from start to stop: the last point is start + steps * step."""
     return int(math.floor((stop - start) / step + 1e-9))
@@ -758,7 +754,7 @@ def _sweep_blocks(
     a: Direction | None, a_prime: Direction | None,
 ) -> Iterator[list[list]]:
     for lo in range(0, size, _SWEEP_BLOCK):
-        # These points of grid_points(start, stop, step).
+        # start + i * step, never accumulated: 0.75 on a 0.01 grid is exact.
         grid = [start + i * step for i in range(lo, min(lo + _SWEEP_BLOCK, size))]
         if theta:
             rho_ci = [

@@ -53,9 +53,6 @@ class Direction(_Angle):
     def degrees(self) -> float:
         return math.degrees(self.angle)
 
-    def rotated(self, radians: float) -> Direction:
-        return Direction(self.angle + radians)
-
 
 def correlation(alpha: Direction, beta: Direction) -> float:
     """Two-party correlation E(alpha, beta) for a shared pair: the dot product

@@ -111,6 +111,27 @@ VALID_DOCUMENTS = {
     "id-with-comma": doc({"id": 'a,"b"', "kind": "classical", "parameters": COIN}),
 }
 
+#: The texts that CSV quotes a field for, and NUL, which it does not.
+FIELD_TEXTS = {"cr": "\r", "crlf": "\r\n", "lf": "\n", "comma": ",", "quote": '"', "nul": "\x00"}
+#: The PR box with its nonzero cells at 0.5 + 2e-10, and with 5e-10 moved
+#: out of a zero cell: each valid within CONSTRAINT_TOL, with target rates
+#: past 1.
+TOLERANCE_BOXES = {
+    "pr-box-raised": of_kind("nsbox", {"box": {
+        key: value + 2e-10 if value else 0.0 for key, value in PR_BOX.items()}}),
+    "pr-box-moved": of_kind("nsbox", {"box": {
+        **PR_BOX, "P(0,1|0,0)": -5e-10, "P(0,0|0,0)": 0.5 + 5e-10}}),
+}
+#: Documents run in every format: an id or a chsh annotation that holds
+#: each of FIELD_TEXTS, and the boxes at the tolerance.
+FORMAT_DOCUMENTS = {
+    **{f"id-{name}": doc({"id": f"{name}{text}id", "kind": "classical", "parameters": COIN})
+       for name, text in FIELD_TEXTS.items()},
+    **{f"annotation-{name}": chsh(annotation=f"note{text}end")
+       for name, text in FIELD_TEXTS.items()},
+    **TOLERANCE_BOXES,
+}
+
 #: Documents run once, as CSV with seeded Monte Carlo. With the built-ins'
 #: `mc` cases they pin the substream each kind draws from: a chsh or box
 #: pair from streams 0-3, a chsh option's rho_ci from 4 plus the option's
@@ -127,6 +148,8 @@ MC_DOCUMENTS = {
     "chsh-options": doc({"id": "chsh-options", "kind": "chsh", "parameters": {
         "a_degrees": 0, "a_prime_degrees": 90, "b_degrees": 45, "b_prime_degrees": 135,
         "remote_options": ["b_prime", "none"]}}),
+    # A cell 5e-10 below 0 is sampled at 0, its table rescaled.
+    **TOLERANCE_BOXES,
 }
 
 #: Documents with one fault or more, each named by the field it breaks.
@@ -254,6 +277,12 @@ def _cases() -> list[Case]:
                           sweep_argv(parameter, 4097) + ("--format", "csv", "--out", "out")))
     for name, text in VALID_DOCUMENTS.items():
         for fmt in ("table", "json"):
+            cases.append(Case(f"document/{name}/{fmt}", ("run", "doc.json", "--format", fmt),
+                              (("doc.json", text),)))
+        cases.append(Case(f"document/{name}/validate", ("validate", "doc.json"),
+                          (("doc.json", text),)))
+    for name, text in FORMAT_DOCUMENTS.items():
+        for fmt in FORMATS:
             cases.append(Case(f"document/{name}/{fmt}", ("run", "doc.json", "--format", fmt),
                               (("doc.json", text),)))
         cases.append(Case(f"document/{name}/validate", ("validate", "doc.json"),

@@ -1,6 +1,6 @@
 """Views that the tests build from the public API: the flat wire format of
 a box, the 2x2 tables that the runners sample, the settings quad of a built-in CHSH scenario, the CHSH value and
-class label of a quad, a run's chsh_s row, and a sweep's rows as records.
+class label of a quad, a run's chsh_s row, a sweep's grid, and its rows as records.
 Then, written without mucorr: each derived row recomputed from the rows a
 run prints, and the former forms of the measured/unmeasured floor and CI
 product."""
@@ -21,7 +21,8 @@ def to_labeled_dict(box) -> dict[str, float]:
 
 
 def box_pair_table(box, a_in: int, b_in: int) -> list[float]:
-    """The 2x2 table of outputs (A, B) of one input pair, as an nsbox run samples it."""
+    """The 2x2 table of outputs (A, B) of one input pair, as an nsbox run
+    samples it when none of its cells is negative."""
     return [box.prob(A, B, a_in, b_in) for A in (0, 1) for B in (0, 1)]
 
 
@@ -83,6 +84,13 @@ def chsh_label(s: float) -> str:
     if s <= TSIRELSON_BOUND:
         return "quantum_violating"
     return "super_quantum"
+
+
+def grid_points(start: float, stop: float, step: float) -> list[float]:
+    """A sweep's grid: start + i * step (never accumulated) for each i from 0
+    up to (stop - start) / step, with 1e-9 of slack on that quotient."""
+    steps = math.floor((stop - start) / step + 1e-9)
+    return [start + i * step for i in range(steps + 1)]
 
 
 def sweep_records(scenario) -> list[dict]:

@@ -6,7 +6,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mucorr import nsbox as nsb
@@ -22,9 +22,9 @@ from mucorr.scenarios import (
     ResultRow,
     Scenario,
     builtin_scenarios,
-    grid_points,
     load_scenario_file,
     run,
+    sweep_columns,
     _check_number,
     _checked,
     _grid_steps,
@@ -38,6 +38,7 @@ from references import (
     chsh_label,
     chsh_s,
     chsh_s_row,
+    grid_points,
     sweep_records,
     to_labeled_dict,
 )
@@ -49,6 +50,14 @@ MANDATED_IDS = {
     "paper-coin",
     "paper-shapes",
 }
+
+
+def sweep_grid(start: float, stop: float, step: float) -> list[float]:
+    """The theta_degrees column of a sweep: its grid, as the sweep builds it."""
+    _, blocks = sweep_columns(Scenario("g", "sweep", {
+        "parameter": "theta_degrees", "start": start, "stop": stop, "step": step,
+    }))
+    return [theta for block in blocks for theta in block[1]]
 
 
 def rows_by_quantity(rows: list[ResultRow]) -> dict[str, ResultRow]:
@@ -358,7 +367,56 @@ class TestCounterfactualKind:
         assert rows["total_bits"].analytic == 1.0 + rows["info_bits"].analytic
 
 
+TOL = nsb.CONSTRAINT_TOL
+PR_BOX = to_labeled_dict(nsb.make_isotropic(1.0))
+#: The PR box with its eight nonzero cells at 0.5 + 2e-10: isotropic at a
+#: mean target rate of 1 + 4e-10.
+PR_BOX_RAISED = {key: value + 2e-10 if value else 0.0 for key, value in PR_BOX.items()}
+#: The PR box with 5e-10 moved out of a zero cell into its neighbour.
+PR_BOX_MOVED = {**PR_BOX, "P(0,1|0,0)": -5e-10, "P(0,0|0,0)": 0.5 + 5e-10}
+
+
+@st.composite
+def boxes_within_the_tolerance(draw) -> dict[str, float]:
+    """A valid box's cells, each moved by up to TOL / 4, and up to TOL / 2
+    moved from one cell to another of the same input pair, zero cells
+    included, kept only where the box still validates."""
+    e = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+    quad = draw(e.map(lambda x: [x, x, x, -x]) | st.lists(e, min_size=4, max_size=4))
+    cells = to_labeled_dict(nsb.from_correlators(*quad))
+    moves = st.sampled_from([0.0, 2e-10, -2e-10, TOL / 4, -TOL / 4]) | st.floats(-TOL / 4, TOL / 4)
+    cells = {key: value + draw(moves) for key, value in cells.items()}
+    bits = ["0,0", "0,1", "1,0", "1,1"]
+    inputs = draw(st.sampled_from(bits))
+    source, target = draw(st.permutations(bits))[:2]  # outputs (A, B)
+    amount = draw(st.sampled_from([0.0, 5e-10, TOL / 2]) | st.floats(0.0, TOL / 2))
+    cells[f"P({source}|{inputs})"] -= amount
+    cells[f"P({target}|{inputs})"] += amount
+    assume(nsb.validate_no_signalling(nsb.from_labeled_dict(cells)) == [])
+    return cells
+
+
 class TestNsboxKind:
+    @settings(max_examples=100, deadline=None)
+    @given(cells=boxes_within_the_tolerance())
+    @example(cells=PR_BOX_RAISED)
+    @example(cells=PR_BOX_MOVED)
+    def test_every_box_that_validates_runs(self, tmp_path_factory, cells):
+        path = tmp_path_factory.getbasetemp() / "box.json"
+        path.write_text(json.dumps({"id": "b", "kind": "nsbox", "parameters": {"box": cells}}))
+        for argv in (["validate", str(path)], ["run", str(path)],
+                     ["run", str(path), "--mc", "--samples", "1000"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(argv) == 0, (argv, err.getvalue())
+
+    def test_a_box_past_the_unit_range_by_the_tolerance_is_clamped(self):
+        # Its isotropic parameter reads 1, and its negative cell is sampled at 0.
+        for cells in (PR_BOX_RAISED, PR_BOX_MOVED):
+            assert nsb.isotropic_parameter(nsb.from_labeled_dict(cells)) == 1.0
+        table = scenarios._outputs(nsb.from_labeled_dict(PR_BOX_MOVED), 0, 0)
+        assert table[1] == 0.0 and min(table) == 0.0 and abs(sum(table) - 1.0) <= 1e-15
+
     def test_explicit_table_equals_isotropic_construction(self):
         explicit = Scenario(
             scenario_id="pr-explicit",
@@ -666,7 +724,7 @@ class TestValidation:
         # A grid spanning 1.6e308 still fits, with all its points.
         edge = dict(theta, start=-8e307, stop=8e307, step=1.6e303)
         assert validate_scenario(self.mk("sweep", edge)) == []
-        assert len(grid_points(-8e307, 8e307, 1.6e303)) == 100_001
+        assert len(sweep_grid(-8e307, 8e307, 1.6e303)) == 100_001
         angles_on_isotropic = dict(base, a_degrees=0.0)
         assert any(
             "a_degrees" in p
@@ -687,7 +745,7 @@ class TestValidation:
             stop = math.nextafter(stop, math.copysign(math.inf, ulps))
         params = {"parameter": "theta_degrees", "start": start, "stop": stop, "step": step}
         problems, checked = _checked(self.mk("sweep", params))
-        built = _grid_steps(start, stop, step) + 1  # len(grid_points(start, stop, step))
+        built = _grid_steps(start, stop, step) + 1  # the points that the sweep builds
         if built <= MAX_GRID_POINTS:
             assert problems == []
             assert checked[3] == built  # the size that the sweep's blocks cover
@@ -867,15 +925,15 @@ class TestScenarioFiles:
 
 class TestSweeps:
     def test_grid_points_hit_exact_decimals(self):
-        grid = grid_points(0.0, 1.0, 0.01)
+        grid = sweep_grid(0.0, 1.0, 0.01)
         assert len(grid) == 101
         assert grid[75] == 0.75  # 75 * 0.01 is exact in binary
         assert grid[0] == 0.0
         assert grid[100] == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_points_degenerate_and_coarse(self):
-        assert grid_points(0.3, 0.3, 0.1) == [0.3]
-        assert grid_points(0.0, 1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert sweep_grid(0.3, 0.3, 0.1) == [0.3]
+        assert sweep_grid(0.0, 1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_theta_sweep_rows(self):
         scenario = Scenario(
